@@ -342,7 +342,7 @@ func BenchmarkDataplaneThroughput(b *testing.B) {
 		}
 		for _, workers := range bench.ThroughputWorkers() {
 			b.Run(fmt.Sprintf("sharded=%v/workers=%d", sharded, workers), func(b *testing.B) {
-				eng := dep.Engine(snap.EngineOptions{Workers: workers, SwitchWorkers: 2, Window: 256})
+				eng := dep.Engine(snap.EngineOptions{Workers: workers, Window: 256})
 				defer eng.Close()
 				b.ResetTimer()
 				start := time.Now()
@@ -388,7 +388,7 @@ func BenchmarkReconfig(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := depA.Engine(snap.EngineOptions{Workers: 4, SwitchWorkers: 2, Window: 256})
+			eng := depA.Engine(snap.EngineOptions{Workers: 4, Window: 256})
 			defer eng.Close()
 			if err := eng.InjectReplay(bench.ReplayIngress(tmA.Replay(4096, 7))); err != nil {
 				b.Fatal(err)
@@ -471,7 +471,7 @@ func BenchmarkFailover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := dep.Engine(snap.EngineOptions{Workers: 4, SwitchWorkers: 2, Window: 256})
+		eng := dep.Engine(snap.EngineOptions{Workers: 4, Window: 256})
 		ctl := dep.Controller(eng, snap.ControllerOptions{})
 		if err := eng.InjectReplay(warm); err != nil {
 			b.Fatal(err)

@@ -51,8 +51,9 @@ type PhaseTimes = core.PhaseTimes
 // Delivery is a packet leaving the network at an OBS port.
 type Delivery = dataplane.Delivery
 
-// Engine is the concurrent, batched data-plane runtime: per-switch worker
-// pools connected by bounded channels, striped per-variable state locks.
+// Engine is the data-plane runtime: a worker pool running each injected
+// packet to completion, under striped per-variable state locks or
+// state-compute replication.
 type Engine = dataplane.Engine
 
 // EngineOptions configures an Engine (workers, admission window, striping,
@@ -148,9 +149,27 @@ func FailureScenarios(t *Topology, correlated int, seed int64) []FailureEvent {
 }
 
 // Deployment is a compiled SNAP program running on a simulated network.
+// Its own data plane is a single-worker Engine, so Inject runs on the
+// caller's goroutine and a Deployment starts no goroutine.
 type Deployment struct {
 	comp  *core.Compilation
-	plane *dataplane.Network
+	plane *dataplane.Engine
+}
+
+// deploy wraps a compilation with its data plane. The plane is built from
+// a replica-free copy of the configuration: the deployment's own plane
+// does not mirror writes to backup switches (engines from Engine do).
+func deploy(comp *core.Compilation) *Deployment {
+	c := comp.Config
+	cfg := &rules.Config{
+		Topo:      c.Topo,
+		Diagram:   c.Diagram,
+		RootID:    c.RootID,
+		NodeCount: c.NodeCount,
+		Placement: c.Placement,
+		Switches:  c.Switches,
+	}
+	return &Deployment{comp: comp, plane: dataplane.NewEngine(cfg, dataplane.Options{Workers: 1})}
 }
 
 // Compile runs the full pipeline (§4, Figure 5) and instantiates the data
@@ -165,21 +184,27 @@ func Compile(p Policy, t *Topology, tm TrafficMatrix, options ...CompileOption) 
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(comp), nil
 }
 
 // Inject sends a packet into the running data plane at an OBS ingress port
 // and returns the deliveries at egress ports (multicast may produce
-// several; stateful drops produce none).
+// several; stateful drops produce none), sorted by port.
 func (d *Deployment) Inject(port int, p Packet) ([]Delivery, error) {
-	return d.plane.Inject(port, p)
+	out, err := d.plane.InjectBatch([]Ingress{{Port: port, Packet: p}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// Engine builds the concurrent data-plane runtime for this deployment:
-// batched/streamed ingress served by per-switch worker pools, with state
-// protected by striped per-variable locks so disjoint flows proceed in
-// parallel. The engine starts with fresh (empty) state tables, independent
-// of the deployment's sequential plane; call Close when done.
+// Engine builds a data-plane runtime for this deployment: batched and
+// streamed ingress served by a pool of opts.Workers workers, with state
+// protected by striped per-variable locks (or replicated per worker, see
+// EngineOptions.StateReplication) so disjoint flows proceed in parallel.
+// The engine starts with fresh (empty) state tables, independent of the
+// deployment's own plane, and mirrors writes to backup switches under
+// WithReplication; call Close when done.
 func (d *Deployment) Engine(opts EngineOptions) *Engine {
 	eng := dataplane.NewEngine(d.comp.Config, opts)
 	// Seed the engine's registry with the cold-start compile so the phase
@@ -238,7 +263,7 @@ func (d *Deployment) Recompile(p Policy) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(comp), nil
 }
 
 // Reroute re-optimizes routing for a new traffic matrix with placement
@@ -249,7 +274,7 @@ func (d *Deployment) Reroute(tm TrafficMatrix) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(comp), nil
 }
 
 // Replace re-optimizes placement AND routing jointly for a new traffic
@@ -263,7 +288,7 @@ func (d *Deployment) Replace(tm TrafficMatrix) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(comp), nil
 }
 
 // Failover recompiles this deployment for the surviving network after a
@@ -282,7 +307,7 @@ func (d *Deployment) Failover(ev FailureEvent) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(comp), nil
 }
 
 // AssessFailure reports what a failure event would cost this deployment:

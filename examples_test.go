@@ -89,8 +89,8 @@ else id`)
 }
 
 // ExampleDeployment_Engine serves a batch through the concurrent data
-// plane: per-switch worker pools connected by bounded channels, state
-// guarded by striped per-variable locks. Batch results are grouped per
+// plane: a pool of workers, each running its packets to completion, with
+// state guarded by striped per-variable locks. Batch results are grouped per
 // injection and the final state matches a sequential run, because the
 // workload's updates (counters, monotone flags) commute.
 func ExampleDeployment_Engine() {

@@ -133,7 +133,7 @@ func replayHot(sharded bool, s Scale) (HotPathRow, error) {
 	if err != nil {
 		return HotPathRow{}, err
 	}
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, SwitchWorkers: 2, Window: 256})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, Window: 256})
 	defer eng.Close()
 	// Warm one pass so steady-state entries exist and pools are primed,
 	// then measure the second pass.

@@ -72,7 +72,7 @@ func Reconfig(s Scale) ([]ReconfigRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 256}
+		opts := dataplane.Options{Workers: 4, Window: 256}
 
 		// Hot swap: warm the engine, drift the observation, fire the loop.
 		eng := dataplane.NewEngine(comp.Config, opts)

@@ -82,7 +82,6 @@ func ScaleMatrix(s Scale, cpus int) ([]ScaleRow, error) {
 		for _, w := range ScaleWorkers(cpus) {
 			eng := dataplane.NewEngine(comp.Config, dataplane.Options{
 				Workers:          w,
-				SwitchWorkers:    1,
 				Window:           256,
 				StateReplication: replicate,
 			})

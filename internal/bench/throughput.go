@@ -146,9 +146,8 @@ func ThroughputCPUs(s Scale, cpus int) ([]ThroughputRow, error) {
 			var base float64
 			for _, w := range ThroughputWorkers() {
 				eng := dataplane.NewEngine(comp.Config, dataplane.Options{
-					Workers:       w,
-					SwitchWorkers: 2,
-					Window:        256,
+					Workers: w,
+					Window:  256,
 				})
 				start := time.Now()
 				err := eng.InjectReplay(batch)

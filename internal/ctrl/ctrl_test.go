@@ -146,7 +146,7 @@ func TestControllerSequentialEquivalence(t *testing.T) {
 	trace := make([]dataplane.Ingress, 0, len(traceA)+len(traceB))
 	trace = append(trace, traceA...)
 	trace = append(trace, traceB...)
-	opts := dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 64}
+	opts := dataplane.Options{Workers: 4, Window: 64}
 
 	for _, sharded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
@@ -243,7 +243,7 @@ func TestFailoverSequentialEquivalence(t *testing.T) {
 	// is not muddied by packets the reference cannot accept.
 	tmD := tm.Restrict(degraded)
 	trace := bench.ReplayIngress(tmD.Replay(4000, 7))
-	opts := dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 64}
+	opts := dataplane.Options{Workers: 4, Window: 64}
 
 	eng := dataplane.NewEngine(comp.Config, opts)
 	defer eng.Close()

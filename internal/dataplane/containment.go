@@ -37,28 +37,27 @@ import (
 // back off, or drop — match with errors.Is.
 var ErrOverload = errors.New("dataplane: overloaded, injection shed")
 
-// panicError is a panic converted to an error at a containment site, with
-// the stack captured where it unwound.
+// panicError is a switch-VM panic converted to an error, with the stack
+// captured where it unwound.
 type panicError struct {
-	site  string
 	sw    topo.NodeID
 	value any
 	stack []byte
 }
 
 func (p *panicError) Error() string {
-	return fmt.Sprintf("dataplane: contained panic at %s (switch %d): %v", p.site, p.sw, p.value)
+	return fmt.Sprintf("dataplane: contained panic in the VM of switch %d: %v", p.sw, p.value)
 }
 
 // runContained executes one switch visit under the panic envelope (and
 // the engine.run faultpoint, which is how tests and the chaos harness
 // inject worker panics). A recovered panic returns as *panicError; the
 // caller quarantines the switch instead of poisoning the engine.
-func runContained(sw *netasm.Switch, at topo.NodeID, site string, buf []netasm.Result, sp netasm.SimPacket) (results []netasm.Result, err error) {
+func runContained(sw *netasm.Switch, at topo.NodeID, buf []netasm.Result, sp netasm.SimPacket) (results []netasm.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			results = buf[:0]
-			err = &panicError{site: site, sw: at, value: v, stack: debug.Stack()}
+			err = &panicError{sw: at, value: v, stack: debug.Stack()}
 		}
 	}()
 	if err := faultpoint.Hit(faultpoint.EngineRun); err != nil {
@@ -76,7 +75,7 @@ func (e *Engine) containVMError(at topo.NodeID, err error) bool {
 	var pe *panicError
 	switch {
 	case errors.As(err, &pe):
-		e.quarantine(at, pe.site, fmt.Sprint(pe.value), pe.stack)
+		e.quarantine(at, "engine.visit", fmt.Sprint(pe.value), pe.stack)
 	case errors.Is(err, faultpoint.ErrInjected):
 		e.quarantine(at, "engine.run", err.Error(), nil)
 	default:

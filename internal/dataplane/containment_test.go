@@ -26,10 +26,10 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
-	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
-	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
+	cfgA := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
+	cfgB := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
 
-	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(cfgA, dataplane.Options{Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(7))
@@ -50,7 +50,7 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 	}
 	for i, name := range points {
 		faultpoint.Enable(name, faultpoint.Plan{Times: 1})
-		err := eng.ApplyConfig(planeB.Config(), nil)
+		err := eng.ApplyConfig(cfgB, nil)
 		if err == nil {
 			t.Fatalf("%s: ApplyConfig succeeded despite injected failure", name)
 		}
@@ -78,7 +78,7 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 	}
 
 	// Retry with the faults cleared: the identical call now commits.
-	if err := eng.ApplyConfig(planeB.Config(), nil); err != nil {
+	if err := eng.ApplyConfig(cfgB, nil); err != nil {
 		t.Fatalf("retry ApplyConfig: %v", err)
 	}
 	if e := eng.Epoch(); e != 1 {
@@ -167,9 +167,9 @@ func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
 func TestWorkerPanicQuarantineLocks(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 2, SwitchWorkers: 2, Window: 16,
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{
+		Workers: 2, Window: 16,
 	})
 	defer eng.Close()
 	if eng.ExecMode() != dataplane.ModeLocks {
@@ -182,7 +182,7 @@ func TestWorkerPanicQuarantineLocks(t *testing.T) {
 // state-compute replication discipline.
 func TestWorkerPanicQuarantineSCR(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	eng, _, ok := newReplicatedEngine(t, campusWorkload(apps.Monitor()), 4, 0)
+	eng, ok := newReplicatedEngine(t, campusWorkload(apps.Monitor()), 4, 0)
 	if !ok {
 		t.Fatal("monitor must classify replication-safe")
 	}
@@ -198,9 +198,9 @@ func TestWorkerPanicQuarantineSCR(t *testing.T) {
 func TestOverloadShedding(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 4, SwitchWorkers: 1, Window: 2, ShedWatermark: 2,
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{
+		Workers: 4, Window: 2, ShedWatermark: 2,
 	})
 	defer eng.Close()
 
@@ -256,9 +256,9 @@ func TestOverloadShedding(t *testing.T) {
 func TestStreamShedsAndContinues(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 4, SwitchWorkers: 1, Window: 2, ShedWatermark: 2,
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{
+		Workers: 4, Window: 2, ShedWatermark: 2,
 	})
 	defer eng.Close()
 
@@ -296,7 +296,7 @@ func TestStreamShedsAndContinues(t *testing.T) {
 func TestReplicatorDrainStall(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	comp, _, tm := compileCampus(t, 2)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 
 	faultpoint.Enable(faultpoint.ReplicatorDrain, faultpoint.Plan{Kind: faultpoint.KindStall, Times: -1})

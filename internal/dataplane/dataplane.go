@@ -6,9 +6,10 @@
 // same ports with the same headers, and leave behind the same global state,
 // as the eval function says they should.
 //
-// Two runtimes share the compiled configuration: the sequential Network
-// (this file) and the concurrent batched Engine (engine.go). See
-// docs/ARCHITECTURE.md for the invariants both maintain.
+// One runtime, the Engine (engine.go), executes the compiled configuration
+// under either of two concurrency disciplines: striped state locks, or
+// state-compute replication (scr.go). See docs/ARCHITECTURE.md for the
+// invariants it maintains.
 package dataplane
 
 import (
@@ -18,7 +19,6 @@ import (
 	"snap/internal/netasm"
 	"snap/internal/pkt"
 	"snap/internal/rules"
-	"snap/internal/state"
 	"snap/internal/topo"
 )
 
@@ -26,34 +26,6 @@ import (
 type Delivery struct {
 	Port   int
 	Packet pkt.Packet
-}
-
-// Network is the simulated data plane, processing one packet at a time to
-// quiescence. It shares switch VMs, routing and stats accounting with the
-// concurrent Engine; use Network when per-packet lockstep with the
-// reference semantics matters (tests, the snapsim cross-check) and Engine
-// to serve batched traffic.
-type Network struct {
-	cfg      *rules.Config
-	switches map[topo.NodeID]*netasm.Switch
-	// MaxHops guards against forwarding loops.
-	MaxHops int
-	stats   counters
-	scratch []netasm.Result
-}
-
-// New instantiates switch VMs for a configuration, linking each program
-// once against the configuration's shared variable space.
-func New(cfg *rules.Config) *Network {
-	n := &Network{
-		cfg:      cfg,
-		switches: map[topo.NodeID]*netasm.Switch{},
-		MaxHops:  16 * (cfg.Topo.Switches + 2),
-	}
-	for id, lp := range linkPrograms(cfg) {
-		n.switches[id] = netasm.NewLinkedSwitch(int(id), lp)
-	}
-	return n
 }
 
 // linkKey identifies a distinct linkable image: rules shares one Program
@@ -84,116 +56,15 @@ func linkPrograms(cfg *rules.Config) map[topo.NodeID]*netasm.Linked {
 	return out
 }
 
-type inflight struct {
-	at   topo.NodeID
-	sp   netasm.SimPacket
-	hops int
-}
-
-// Inject sends one packet into the network at an OBS ingress port and runs
-// the plane to quiescence, returning the deliveries (multicast may produce
-// several).
-func (n *Network) Inject(port int, p pkt.Packet) ([]Delivery, error) {
-	pt, ok := n.cfg.Topo.PortByID(port)
-	if !ok {
-		return nil, fmt.Errorf("dataplane: unknown ingress port %d", port)
-	}
-	n.stats.injected.Add(1)
-	first := netasm.SimPacket{
-		Pkt: p,
-		Hdr: netasm.Header{
-			OBSIn:  port,
-			OBSOut: -1,
-			Node:   n.cfg.RootID,
-			Seq:    -1,
-			Phase:  netasm.PhaseEval,
-		},
-	}
-	queue := []inflight{{at: pt.Switch, sp: first}}
-	var out []Delivery
-	seen := map[deliveryKey]bool{} // eval's output is a set: dedupe multicast copies
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.hops > n.MaxHops {
-			return nil, fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", cur.at)
-		}
-		sw := n.switches[cur.at]
-		results, err := sw.RunAppend(n.scratch[:0], cur.sp)
-		n.scratch = results
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			switch r.Outcome {
-			case netasm.Dropped:
-				n.stats.dropped.Add(1)
-
-			case netasm.Delivered:
-				n.stats.delivered.Add(1)
-				out = appendDelivery(out, seen, Delivery{Port: r.Packet.Hdr.OBSOut, Packet: r.Packet.Pkt})
-
-			case netasm.NeedState:
-				n.stats.suspends.Add(1)
-				target, ok := stateTarget(n.cfg, r)
-				if !ok {
-					return nil, fmt.Errorf("dataplane: no owner for state of packet at switch %d", cur.at)
-				}
-				if target == cur.at {
-					return nil, fmt.Errorf("dataplane: suspended for local state at switch %d", cur.at)
-				}
-				next, err := nextHop(n.cfg, cur.at, r.Packet, target)
-				if err != nil {
-					return nil, err
-				}
-				n.stats.hops.Add(1)
-				queue = append(queue, inflight{at: next, sp: r.Packet, hops: cur.hops + 1})
-
-			case netasm.ToEgress:
-				eg, ok := n.cfg.Topo.PortByID(r.Packet.Hdr.OBSOut)
-				if !ok {
-					// Outport set to a value that is not an OBS port: the
-					// packet leaves the system nowhere; count as dropped.
-					n.stats.dropped.Add(1)
-					continue
-				}
-				if eg.Switch == cur.at {
-					n.stats.delivered.Add(1)
-					out = appendDelivery(out, seen, Delivery{Port: eg.ID, Packet: r.Packet.Pkt})
-					continue
-				}
-				next, err := nextHop(n.cfg, cur.at, r.Packet, eg.Switch)
-				if err != nil {
-					return nil, err
-				}
-				n.stats.hops.Add(1)
-				queue = append(queue, inflight{at: next, sp: r.Packet, hops: cur.hops + 1})
-			}
-		}
-	}
-	return out, nil
-}
-
-// Stats returns a snapshot of the simulator counters.
-func (n *Network) Stats() Stats { return n.stats.snapshot() }
-
-// deliveryKey identifies a delivery for multicast dedupe: a comparable
-// struct, so building one is a single Packet.Key call with no formatting.
-type deliveryKey struct {
-	port int
-	pkt  string
-}
-
 // appendDelivery adds a delivery unless an identical packet already exited
 // the same port for this injection: the eval semantics returns packet
 // *sets*, so multicast copies that end up indistinguishable collapse.
-func appendDelivery(out []Delivery, seen map[deliveryKey]bool, d Delivery) []Delivery {
-	key := deliveryKey{port: d.Port, pkt: d.Packet.Key()}
-	if seen[key] {
-		return out
+func appendDelivery(out []Delivery, d Delivery) []Delivery {
+	for i := range out {
+		if out[i].Port == d.Port && out[i].Packet.Equal(d.Packet) {
+			return out
+		}
 	}
-	seen[key] = true
 	return append(out, d)
 }
 
@@ -230,7 +101,7 @@ func (s *deliverySorter) Swap(i, j int) {
 
 // stateTarget resolves the switch a suspended packet must reach next: the
 // owner of the suspending test's variable, or of the first pending write.
-func stateTarget(cfg *rules.Config, r netasm.Result) (topo.NodeID, bool) {
+func stateTarget(cfg *rules.Config, r *netasm.Result) (topo.NodeID, bool) {
 	v := r.StateVar
 	if v == "" && r.Packet.Hdr.PendingLen() > 0 {
 		v = r.Packet.Hdr.PendingAt(0).Var
@@ -239,18 +110,13 @@ func stateTarget(cfg *rules.Config, r netasm.Result) (topo.NodeID, bool) {
 	return node, ok
 }
 
-// nextHop picks the outgoing link from `at` toward `target`. A packet
-// still owing state visits (evaluation suspends or pending writes) follows
-// the shortest-path next hop toward the owning switch — the Appendix D
-// fallback, guaranteed to make progress. Once only the egress remains, the
-// optimizer's (u,v) match-action entry is preferred.
-func nextHop(cfg *rules.Config, at topo.NodeID, sp netasm.SimPacket, target topo.NodeID) (topo.NodeID, error) {
-	n, _, err := nextHopLink(cfg, at, sp, target)
-	return n, err
-}
-
-// nextHopLink is nextHop exposing the traversed link index, so the engine
-// can honor injected link failures (a send over a dead link drops).
+// nextHopLink picks the outgoing link from `at` toward `target`,
+// returning the next switch and the traversed link index (so the engine
+// can honor injected link failures: a send over a dead link drops). A
+// packet still owing state visits (evaluation suspends or pending writes)
+// follows the shortest-path next hop toward the owning switch — the
+// Appendix D fallback, guaranteed to make progress. Once only the egress
+// remains, the optimizer's (u,v) match-action entry is preferred.
 func nextHopLink(cfg *rules.Config, at topo.NodeID, sp netasm.SimPacket, target topo.NodeID) (topo.NodeID, int, error) {
 	sc := cfg.Switches[at]
 	if sp.Hdr.OBSOut >= 0 && sp.Hdr.Phase == netasm.PhaseDeliver && sp.Hdr.PendingLen() == 0 {
@@ -263,37 +129,4 @@ func nextHopLink(cfg *rules.Config, at topo.NodeID, sp netasm.SimPacket, target 
 		return 0, -1, fmt.Errorf("dataplane: switch %d cannot reach switch %d", at, target)
 	}
 	return cfg.Topo.Links[li].To, li, nil
-}
-
-// GlobalState unions the per-switch state tables. Placement puts each
-// variable on exactly one switch, so the union is well defined; it is the
-// distributed counterpart of the one-big-switch store.
-func (n *Network) GlobalState() *state.Store { return unionState(n.switches) }
-
-// Config exposes the compiled configuration the plane was built from,
-// e.g. to build an Engine over the same deployment.
-func (n *Network) Config() *rules.Config { return n.cfg }
-
-// SwitchTable snapshots one switch's tables (tests and diagnostics) in
-// canonical Store form. The runtime representation is the switch's dense
-// tables; the returned store is a copy.
-func (n *Network) SwitchTable(id topo.NodeID) *state.Store {
-	return switchTable(n.switches, id)
-}
-
-// unionState and switchTable are the state views both runtimes share,
-// converting the switches' dense runtime tables to canonical stores.
-func unionState(switches map[topo.NodeID]*netasm.Switch) *state.Store {
-	out := state.NewStore()
-	for _, sw := range switches {
-		sw.StateInto(out)
-	}
-	return out
-}
-
-func switchTable(switches map[topo.NodeID]*netasm.Switch, id topo.NodeID) *state.Store {
-	if sw, ok := switches[id]; ok {
-		return sw.Snapshot()
-	}
-	return nil
 }

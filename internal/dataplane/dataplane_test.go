@@ -1,6 +1,8 @@
 package dataplane_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"snap/internal/place"
 	"snap/internal/psmap"
 	"snap/internal/rules"
+	"snap/internal/semantics"
 	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/topo"
@@ -19,7 +22,7 @@ import (
 )
 
 // deploy compiles a policy end to end onto a topology.
-func deploy(t *testing.T, p syntax.Policy, net *topo.Topology, fixed map[string]topo.NodeID) (*dataplane.Network, *xfdd.Diagram) {
+func deploy(t *testing.T, p syntax.Policy, net *topo.Topology, fixed map[string]topo.NodeID) *rules.Config {
 	t.Helper()
 	d, order, err := xfdd.Translate(p)
 	if err != nil {
@@ -44,7 +47,61 @@ func deploy(t *testing.T, p syntax.Policy, net *topo.Topology, fixed map[string]
 	if err != nil {
 		t.Fatalf("rules: %v", err)
 	}
-	return dataplane.New(cfg), d
+	return cfg
+}
+
+// specStep evaluates one packet under the one-big-switch semantics — the
+// specification every execution path is checked against — returning the
+// deliveries it prescribes (output packets whose outport is an OBS port
+// of net, keyed like deliveryKey) and the updated store. A dynamic state
+// conflict leaves the semantics undefined from there on, so the test is
+// skipped, as the xFDD fuzz suite does.
+func specStep(t *testing.T, policy syntax.Policy, st *state.Store, p pkt.Packet, net *topo.Topology) (map[string]bool, *state.Store) {
+	t.Helper()
+	res, err := semantics.Eval(policy, st, p)
+	if err != nil {
+		var ce *semantics.ConflictError
+		if errors.As(err, &ce) {
+			t.Skipf("dynamic state conflict, reference undefined: %v", err)
+		}
+		t.Fatalf("semantics eval: %v", err)
+	}
+	want := map[string]bool{}
+	for _, wp := range res.Packets {
+		out := wp.Field(pkt.Outport)
+		if out.Kind != values.KindInt {
+			continue
+		}
+		if _, ok := net.PortByID(int(out.Num)); !ok {
+			continue
+		}
+		want[fmt.Sprintf("%d|%s", out.Num, wp.Key())] = true
+	}
+	return want, res.Store
+}
+
+// checkDeliveries requires an injection's deliveries to equal the set the
+// specification prescribes.
+func checkDeliveries(t *testing.T, what string, got []dataplane.Delivery, want map[string]bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: delivered %d, semantics says %d (%v vs %v)", what, len(got), len(want), got, want)
+	}
+	for _, d := range got {
+		if !want[deliveryKey(d)] {
+			t.Fatalf("%s: delivery %s not in semantics output %v", what, deliveryKey(d), want)
+		}
+	}
+}
+
+// injectOne runs one packet through the engine as a batch of one.
+func injectOne(t *testing.T, eng *dataplane.Engine, port int, p pkt.Packet) []dataplane.Delivery {
+	t.Helper()
+	got, err := eng.InjectBatch([]dataplane.Ingress{{Port: port, Packet: p}})
+	if err != nil {
+		t.Fatalf("inject at port %d: %v", port, err)
+	}
+	return got[0]
 }
 
 func campusPacket(rng *rand.Rand) (int, pkt.Packet) {
@@ -63,56 +120,23 @@ func campusPacket(rng *rand.Rand) (int, pkt.Packet) {
 	return port, p
 }
 
-// checkPlane injects a trace and requires, after every packet, identical
-// deliveries and identical global state between the distributed plane and
-// the one-big-switch xFDD interpreter.
-func checkPlane(t *testing.T, net *dataplane.Network, d *xfdd.Diagram, topology *topo.Topology, trace []struct {
+// checkPlane injects a trace into a single-worker engine and requires,
+// after every packet, the deliveries and the global state the
+// one-big-switch semantics prescribes.
+func checkPlane(t *testing.T, policy syntax.Policy, cfg *rules.Config, trace []struct {
 	port int
 	p    pkt.Packet
 }) {
 	t.Helper()
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 1})
+	defer eng.Close()
 	ref := state.NewStore()
 	for i, tp := range trace {
-		got, err := net.Inject(tp.port, tp.p)
-		if err != nil {
-			t.Fatalf("packet %d: inject: %v", i, err)
-		}
-		wantPkts, newStore, err := d.Eval(ref, tp.p)
-		if err != nil {
-			t.Fatalf("packet %d: ref eval: %v", i, err)
-		}
-		ref = newStore
-
-		// Expected deliveries: output packets whose outport is a real port.
-		want := map[string]int{}
-		for _, wp := range wantPkts {
-			out := wp.Field(pkt.Outport)
-			if out.Kind != values.KindInt {
-				continue
-			}
-			if _, ok := topology.PortByID(int(out.Num)); !ok {
-				continue
-			}
-			want[wp.Key()]++
-		}
-		gotSet := map[string]int{}
-		for _, dl := range got {
-			gotSet[dl.Packet.Key()]++
-			out := dl.Packet.Field(pkt.Outport)
-			if out.Kind != values.KindInt || int(out.Num) != dl.Port {
-				t.Fatalf("packet %d delivered at port %d but header says %s", i, dl.Port, out)
-			}
-		}
-		if len(want) != len(gotSet) {
-			t.Fatalf("packet %d (%v): want %d deliveries %v, got %d %v", i, tp.p, len(want), want, len(gotSet), gotSet)
-		}
-		for k := range want {
-			if gotSet[k] == 0 {
-				t.Fatalf("packet %d: missing delivery %s", i, k)
-			}
-		}
-		if !net.GlobalState().Equal(ref) {
-			t.Fatalf("packet %d: state divergence\nplane:\n%s\nref:\n%s", i, net.GlobalState(), ref)
+		want, next := specStep(t, policy, ref, tp.p, cfg.Topo)
+		ref = next
+		checkDeliveries(t, fmt.Sprintf("packet %d (%v)", i, tp.p), injectOne(t, eng, tp.port, tp.p), want)
+		if !eng.GlobalState().Equal(ref) {
+			t.Fatalf("packet %d: state divergence\nplane:\n%s\nref:\n%s", i, eng.GlobalState(), ref)
 		}
 	}
 }
@@ -128,7 +152,7 @@ func TestCampusEndToEnd(t *testing.T) {
 			apps.AssignEgress(6),
 		),
 	)
-	plane, d := deploy(t, p, netw, nil)
+	cfg := deploy(t, p, netw, nil)
 	rng := rand.New(rand.NewSource(3))
 	var trace []struct {
 		port int
@@ -141,7 +165,7 @@ func TestCampusEndToEnd(t *testing.T) {
 			p    pkt.Packet
 		}{port, pk})
 	}
-	checkPlane(t, plane, d, netw, trace)
+	checkPlane(t, p, cfg, trace)
 }
 
 // TestStateAtC6 reproduces the §4.5 walk-through: with all state pinned on
@@ -156,7 +180,8 @@ func TestStateAtC6(t *testing.T) {
 	)
 	const c6 = topo.NodeID(11)
 	fixed := map[string]topo.NodeID{"orphan": c6, "susp-client": c6, "blacklist": c6}
-	plane, d := deploy(t, p, netw, fixed)
+	eng := dataplane.NewEngine(deploy(t, p, netw, fixed), dataplane.Options{Workers: 1})
+	defer eng.Close()
 
 	dns := pkt.New(map[pkt.Field]values.Value{
 		pkt.Inport:   values.Int(1),
@@ -166,22 +191,18 @@ func TestStateAtC6(t *testing.T) {
 		pkt.DstPort:  values.Int(9999),
 		pkt.DNSRData: values.IPv4(10, 0, 2, 2),
 	})
-	got, err := plane.Inject(1, dns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := injectOne(t, eng, 1, dns)
 	if len(got) != 1 || got[0].Port != 6 {
 		t.Fatalf("want delivery at port 6, got %v", got)
 	}
 	// The state lives on C6, not on the edge.
-	if tbl := plane.SwitchTable(c6); len(tbl.Vars()) == 0 {
+	if tbl := eng.SwitchTable(c6); len(tbl.Vars()) == 0 {
 		t.Fatalf("C6 holds no state after a stateful packet")
 	}
-	ref := state.NewStore()
-	if _, ref, err = d.Eval(ref, dns); err != nil {
-		t.Fatal(err)
-	} else if !plane.GlobalState().Equal(ref) {
-		t.Fatalf("state mismatch:\nplane %s\nref %s", plane.GlobalState(), ref)
+	want, ref := specStep(t, p, state.NewStore(), dns, netw)
+	checkDeliveries(t, "DNS response", got, want)
+	if !eng.GlobalState().Equal(ref) {
+		t.Fatalf("state mismatch:\nplane %s\nref %s", eng.GlobalState(), ref)
 	}
 }
 
@@ -194,7 +215,8 @@ func TestStatefulFirewallPlane(t *testing.T) {
 		apps.Assumption(6),
 		syntax.Then(fw.MustPolicy(), apps.AssignEgress(6)),
 	)
-	plane, d := deploy(t, p, netw, nil)
+	eng := dataplane.NewEngine(deploy(t, p, netw, nil), dataplane.Options{Workers: 1})
+	defer eng.Close()
 
 	inside := pkt.New(map[pkt.Field]values.Value{
 		pkt.Inport:  values.Int(6),
@@ -219,21 +241,16 @@ func TestStatefulFirewallPlane(t *testing.T) {
 	})
 
 	ref := state.NewStore()
-	step := func(port int, p pkt.Packet, wantDeliveries int) {
+	step := func(port int, pk pkt.Packet, wantDeliveries int) {
 		t.Helper()
-		got, err := plane.Inject(port, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := injectOne(t, eng, port, pk)
 		if len(got) != wantDeliveries {
 			t.Fatalf("inject at %d: want %d deliveries, got %v", port, wantDeliveries, got)
 		}
-		_, ref2, err := d.Eval(ref, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref = ref2
-		if !plane.GlobalState().Equal(ref) {
+		want, next := specStep(t, p, ref, pk, netw)
+		ref = next
+		checkDeliveries(t, fmt.Sprintf("inject at %d", port), got, want)
+		if !eng.GlobalState().Equal(ref) {
 			t.Fatalf("state divergence after port %d", port)
 		}
 	}

@@ -1,35 +1,45 @@
-// The concurrent, batched execution engine. Network (dataplane.go) runs
-// one packet at a time to quiescence; Engine runs whole batches or streams
-// of packets through the same per-switch NetASM VMs concurrently:
+// The data-plane runtime: Engine runs batches or streams of packets
+// through the per-switch NetASM VMs on a pool of Options.Workers workers.
 //
-//   - a pool of goroutines per switch drains that switch's bounded inbox
-//     channel; packets move between switches by sends on those channels,
-//     mirroring the topology links the routing helpers resolve;
-//   - a global worker semaphore (Options.Workers) caps how many VM
-//     executions run at once, giving benchmarks a single parallelism knob
-//     (1 worker ≈ the sequential plane, modulo scheduling);
-//   - per-variable striped locks (state.Stripes) protect the per-switch
-//     state tables. Placement puts each variable — and each shard of a
-//     sharded variable, since shards are ordinary variables — on exactly
-//     one switch, so lock sets of different switches are disjoint and
-//     packets of disjoint flows proceed in parallel; packets contending
-//     for the same variable serialize, preserving per-visit atomicity.
+//   - Admission: an injection passes the gate (epoch swaps and quiescent
+//     snapshots) and the Window (the bound on in-flight injections, and so
+//     on the queue feeding the pool), then goes to a worker — the calling
+//     goroutine itself when Workers is 1, otherwise whichever pool
+//     goroutine takes it off the shared job queue.
+//   - The walk: the worker runs the injection to completion, one packet
+//     copy at a time off a worker-local queue that multicast extras join
+//     too: execute the xFDD at a switch, suspend toward the owner of the
+//     state it needs (§4.5), resume there, until every copy is delivered
+//     or dropped. No copy changes worker, so one worker retires the whole
+//     injection.
+//   - The discipline: under striped locks (the default) every worker
+//     visits the one shared set of switch VMs, with per-variable stripe
+//     locks (state.Stripes) wrapping each visit. Placement puts each
+//     variable — and each shard of a sharded variable, since shards are
+//     ordinary variables — on exactly one switch, so lock sets of
+//     different switches are disjoint: packets of disjoint flows proceed
+//     in parallel, and packets contending for the same variable serialize,
+//     preserving per-visit atomicity. Under state-compute replication
+//     (scr.go) each worker visits its own replica of the VMs with no
+//     locks, draining its peers' update logs before each injection and
+//     publishing its own after.
 //
-// Equivalence with the sequential plane: every packet copy performs the
-// same switch visits and state operations as under Network.Inject; only
-// the interleaving across packets differs. For programs whose state
-// updates commute (counters, monotone flags) the final global state is
-// therefore identical to any sequential order, which the engine tests
-// assert against Network.
+// Equivalence with the specification: every packet copy performs the
+// switch visits and state operations that the one-big-switch semantics
+// (internal/semantics) prescribes; only the interleaving across packets
+// differs. With one packet in flight at a time the engine is lockstep-exact
+// for any policy, and for programs whose state updates commute (counters,
+// monotone flags) the final global state of a concurrent run equals that
+// of any sequential order, which the engine tests assert.
 //
 // Reconfiguration: the compiled configuration, the switch VMs and their
 // lock sets live behind one atomically-swapped plane pointer. ApplyConfig
 // installs a recompiled rules.Config onto the live engine in an epoch-based
-// swap — pause admission, drain in-flight copies to quiescence, migrate the
-// state tables to their new owner switches, publish the new plane, resume —
-// so long-running InjectStream callers continue across the swap and no
-// packet or state entry is lost. internal/ctrl drives this from observed
-// traffic drift.
+// swap — pause admission, drain in-flight injections to quiescence,
+// migrate the state tables to their new owner switches, publish the new
+// plane, resume — so long-running InjectStream callers continue across the
+// swap and no packet or state entry is lost. internal/ctrl drives this
+// from observed traffic drift.
 package dataplane
 
 import (
@@ -61,31 +71,18 @@ type Ingress struct {
 
 // Options configures an Engine. The zero value picks sensible defaults.
 type Options struct {
-	// Workers caps concurrent VM executions across the whole engine.
-	// 1 serializes all packet processing (the sequential baseline);
-	// 0 defaults to GOMAXPROCS.
+	// Workers is the size of the worker pool: how many injections run at
+	// once, each to completion on one worker. 1 runs every injection on
+	// the calling goroutine and starts no goroutine (the sequential
+	// baseline); 0 defaults to GOMAXPROCS.
 	Workers int
-	// SwitchWorkers is the goroutine pool size per switch: how many
-	// packets a switch can pull off its inbox at once. Note that a
-	// switch's VM also executes on other pools' goroutines (a worker
-	// follows its packet's continuation inline), so Run is potentially
-	// concurrent at any pool size — safety always comes from the striped
-	// state locks, never from SwitchWorkers=1. 0 → 1.
-	SwitchWorkers int
-	// Window bounds how many injected packets are in flight at once. It
-	// is the admission control that keeps the bounded link channels from
-	// filling: in-flight copies never exceed Window × the widest
-	// multicast fork, which is exactly the inbox capacity. 0 → 256.
+	// Window bounds how many injected packets are in flight at once: the
+	// depth of the admission queue feeding the worker pool. 0 → 256.
 	Window int
 	// MaxHops guards against forwarding loops. 0 → 16 × (switches + 2).
 	MaxHops int
 	// Stripes is the striped-lock pool size. 0 → state.DefaultStripes.
 	Stripes int
-	// InboxCapacity overrides the per-switch inbox channel capacity
-	// (0 → Window × the program's widest fork, the bound that makes
-	// inter-switch sends non-blocking). Smaller values force the tracked
-	// fallback-send path and exist for tests; leave 0 in production.
-	InboxCapacity int
 	// ManualReplication disables the background mirror-drain goroutine:
 	// state writes queue until FlushReplication (or a reconfiguration)
 	// pumps them. It makes replica lag deterministic and exists for tests
@@ -125,9 +122,6 @@ func (o Options) withDefaults(cfg *rules.Config) Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.SwitchWorkers <= 0 {
-		o.SwitchWorkers = 1
-	}
 	if o.Window <= 0 {
 		o.Window = 256
 	}
@@ -140,77 +134,261 @@ func (o Options) withDefaults(cfg *rules.Config) Options {
 	return o
 }
 
-// item is one live packet copy queued at a switch.
-type item struct {
+// job is one admitted injection: the packet at its ingress switch, plus
+// what retiring it must notify.
+type job struct {
+	at topo.NodeID
+	sp netasm.SimPacket
+	// out collects the injection's deliveries (InjectBatch); nil in
+	// stream mode, where deliveries are only counted.
+	out *[]Delivery
+	wg  *sync.WaitGroup
+	// tr is the sampled packet trace, nil for the (default) unsampled case.
+	tr *telemetry.PacketTrace
+}
+
+// visit is one packet copy queued on a worker's walk.
+type visit struct {
+	at   topo.NodeID
 	sp   netasm.SimPacket
 	hops int
-	inj  *injection
 }
 
-// injection tracks one injected packet across all its in-flight copies.
-// Stream-mode injections (no delivery collection) are pooled: the steady
-// replay loop re-uses retired injection records instead of allocating one
-// per packet.
-type injection struct {
-	refs   atomic.Int32
-	eng    *Engine
-	wg     *sync.WaitGroup
-	pooled bool
-	// tr is the sampled packet trace, nil for the (default) unsampled
-	// case; finish commits it and clears the field before pooling.
-	tr *telemetry.PacketTrace
-
-	// Delivery collection (nil seen = stream mode, deliveries only counted).
-	mu   sync.Mutex
-	seen map[deliveryKey]bool
-	out  []Delivery
+// worker is one member of the engine's pool. Its queue and result buffer
+// are reused across injections, which keeps the steady-state packet loop
+// allocation-free. kick and sync reach a pool goroutine outside the job
+// stream under the replication discipline (scr.go): kick asks it to drain
+// its replica's inbound rings for a backpressured publisher, sync is the
+// control plane's acknowledged drain (reconcile).
+type worker struct {
+	id      int
+	eng     *Engine
+	queue   []visit
+	results []netasm.Result
+	kick    chan struct{}
+	sync    chan chan struct{}
 }
 
-var injPool = sync.Pool{New: func() any { return new(injection) }}
+// loop is a pool goroutine: it serves jobs until Close closes the queue.
+// Under replication it is the sole consumer of its replica's inbound
+// rings — packet processing, publisher kicks and control-plane drain
+// requests all converge here, which keeps the SPSC ring contract honest.
+func (w *worker) loop(jobs <-chan job) {
+	defer w.eng.wg.Done()
+	for {
+		select {
+		case j, ok := <-jobs:
+			if !ok {
+				return
+			}
+			w.run(&j)
+		case <-w.kick:
+			w.drain()
+		case ack := <-w.sync:
+			w.drain()
+			ack <- struct{}{}
+		}
+	}
+}
 
-func (in *injection) deliver(d Delivery) {
-	if in.seen == nil {
+// drain applies the peers' queued updates to this worker's replica of the
+// current plane; a no-op under the lock discipline.
+func (w *worker) drain() {
+	if s := w.eng.plane.Load().scr; s != nil {
+		s.replicas[w.id].drain()
+	}
+}
+
+// run executes one injection to completion and retires it. The deferred
+// guard is the last-resort containment: VM panics are already converted
+// inside each visit (runContained), so a panic unwinding to here is a bug
+// in the walk or merge machinery itself — the process survives, the
+// engine poisons with the captured stack, and the injection still retires
+// so no caller hangs.
+//
+// The plane pointer is loaded once per injection: ApplyConfig swaps it
+// only while the gate holds the engine quiescent, so no injection ever
+// spans two epochs.
+func (w *worker) run(j *job) {
+	e := w.eng
+	defer e.retire(j)
+	defer w.guard()
+	pl := e.plane.Load()
+	if pl.scr == nil {
+		w.walk(pl, pl.switches, j)
 		return
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.out = appendDelivery(in.out, in.seen, d)
+	r := pl.scr.replicas[w.id]
+	r.drain()
+	w.walk(pl, r.switches, j)
+	r.publish()
 }
 
-// release retires n copies; the last one out completes the injection.
-func (in *injection) release(n int) {
-	if n == 0 {
-		return
-	}
-	if in.refs.Add(int32(-n)) == 0 {
-		in.finish()
+func (w *worker) guard() {
+	if v := recover(); v != nil {
+		w.eng.fail(fmt.Errorf("dataplane: panic on worker %d: %v\n%s", w.id, v, debug.Stack()))
 	}
 }
 
-// finish completes the injection: release the admission window and gate,
-// notify the waiter, and return pooled records. Batch-mode injections are
-// not pooled — the caller still reads their collected deliveries.
-func (in *injection) finish() {
-	if in.tr != nil {
-		in.tr.Finish()
-		in.tr = nil
+// walk runs one injected packet and all its copies to quiescence against
+// the given VM set, breadth-first off the worker-local queue.
+func (w *worker) walk(pl *plane, switches map[topo.NodeID]*netasm.Switch, j *job) {
+	e := w.eng
+	q := append(w.queue[:0], visit{at: j.at, sp: j.sp})
+	defer func() { w.queue = q[:0] }()
+	for qi := 0; qi < len(q) && !e.failed.Load(); qi++ {
+		// cur stays valid until the first append below, the last use.
+		cur := &q[qi]
+		at, hops, hdr := cur.at, cur.hops, &cur.sp.Hdr
+		switch {
+		case e.down[at].Load():
+			// The switch died with this copy in flight toward it: the copy
+			// is lost. Observe the drop so the empirical matrix still
+			// reflects the offered load.
+			e.drop(at, j.tr, hdr.OBSIn, hdr.OBSOut)
+			continue
+		case e.quarantined(at):
+			// A contained panic poisoned this switch's VM; its copies
+			// drop-and-count until a reconfiguration replaces it.
+			e.dropQuarantined(at, j.tr, hdr.OBSIn, hdr.OBSOut)
+			continue
+		case hops > e.opts.MaxHops:
+			e.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", at))
+			return
+		}
+		results, err := w.visit(pl, switches[at], at, cur.sp)
+		if err != nil {
+			if e.containVMError(at, err) {
+				e.dropQuarantined(at, j.tr, hdr.OBSIn, hdr.OBSOut)
+				continue
+			}
+			e.fail(err)
+			return
+		}
+		for i := range results {
+			r := &results[i]
+			in := r.Packet.Hdr.OBSIn
+			var target topo.NodeID
+			outcome, sv, egress := "forward", "", r.Packet.Hdr.OBSOut
+			switch r.Outcome {
+			case netasm.Dropped:
+				e.drop(at, j.tr, in, -1)
+				continue
+			case netasm.Delivered:
+				e.deliver(j, at, in, egress, &r.Packet.Pkt)
+				continue
+			case netasm.NeedState:
+				e.stats.suspends.Add(1)
+				e.load[at].suspends.Add(1)
+				t, ok := pl.stateTarget(r)
+				if !ok {
+					e.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", at))
+					continue
+				}
+				if t == at {
+					e.fail(fmt.Errorf("dataplane: suspended for local state at switch %d", at))
+					continue
+				}
+				target = t
+				outcome, sv, egress = "suspend", r.StateVar, -1
+			case netasm.ToEgress:
+				eg, ok := pl.cfg.Topo.PortByID(egress)
+				if !ok {
+					// Outport set to a value that is not an OBS port: the
+					// packet leaves the system nowhere.
+					e.drop(at, j.tr, in, -1)
+					continue
+				}
+				if eg.Switch == at {
+					e.deliver(j, at, in, eg.ID, &r.Packet.Pkt)
+					continue
+				}
+				target = eg.Switch
+			}
+			next, li, err := nextHopLink(pl.cfg, at, r.Packet, target)
+			if err != nil {
+				e.fail(err)
+				continue
+			}
+			if e.linkDead(pl.cfg.Topo.Links[li]) {
+				e.stats.dropped.Add(1)
+				e.observeDrop(at, in, r.Packet.Hdr.OBSOut)
+				traceHop(j.tr, at, "drop", sv, egress)
+				continue
+			}
+			e.stats.hops.Add(1)
+			e.load[at].forwarded.Add(1)
+			traceHop(j.tr, at, outcome, sv, egress)
+			q = append(q, visit{at: next, sp: r.Packet, hops: hops + 1})
+		}
 	}
-	e, wg := in.eng, in.wg
-	if in.pooled {
-		in.eng, in.wg, in.pooled = nil, nil, false
-		injPool.Put(in)
+}
+
+// visit executes one packet copy at one switch VM. Under the lock
+// discipline the switch's stripe lock set wraps the execution; the
+// uncontended path is a TryLock (one CAS per stripe, same as Lock), and
+// only a blocked acquisition pays for the clock reads and the per-variable
+// contention accounting. Replication-mode planes carry no lock sets.
+func (w *worker) visit(pl *plane, sw *netasm.Switch, at topo.NodeID, sp netasm.SimPacket) ([]netasm.Result, error) {
+	e := w.eng
+	ls := pl.locks[at]
+	if !ls.Empty() && !ls.TryLock() {
+		t0 := time.Now()
+		ls.Lock()
+		wait := int64(time.Since(t0))
+		e.stats.lockSuspends.Add(1)
+		e.stats.lockWaitNs.Add(wait)
+		for _, vid := range pl.lockVars[at] {
+			pl.lockSusp[vid].Add(1)
+			pl.lockWait[vid].Add(wait)
+			pl.lockHist[vid].Observe(wait)
+		}
+	}
+	results, err := runContained(sw, at, w.results[:0], sp)
+	w.results = results
+	if !ls.Empty() {
+		ls.Unlock()
+	}
+	e.load[at].processed.Add(1)
+	return results, err
+}
+
+// drop accounts one discarded copy: the stats counter, the observed matrix
+// (keyed under the intended egress out, or -1) and the sampled trace.
+func (e *Engine) drop(at topo.NodeID, tr *telemetry.PacketTrace, in, out int) {
+	e.stats.dropped.Add(1)
+	e.observeDrop(at, in, out)
+	traceHop(tr, at, "drop", "", -1)
+}
+
+// deliver accounts one copy exiting at OBS port `port`, collecting it when
+// the injection was admitted in batch mode.
+func (e *Engine) deliver(j *job, at topo.NodeID, in, port int, p *pkt.Packet) {
+	e.stats.delivered.Add(1)
+	e.observe(at, in, port)
+	if j.out != nil {
+		*j.out = appendDelivery(*j.out, Delivery{Port: port, Packet: *p})
+	}
+	traceHop(j.tr, at, "deliver", "", port)
+}
+
+// retire completes an injection: commit its trace, release its window
+// slot and gate hold, and notify the waiter.
+func (e *Engine) retire(j *job) {
+	if j.tr != nil {
+		j.tr.Finish()
 	}
 	<-e.window
 	e.gate.leave()
-	wg.Done()
+	j.wg.Done()
 }
 
 // gate is the engine's admission barrier, the mechanism behind quiescent
 // snapshots and epoch-based reconfiguration. Every injection holds an
-// enter/leave pair for its whole lifetime (admission through last-copy
-// retirement); pause blocks new admissions and waits for the in-flight
-// count to drain to zero, so between pause and resume the switch
-// goroutines are parked on empty inboxes and the state tables are frozen.
+// enter/leave pair for its whole lifetime (admission through retirement);
+// pause blocks new admissions and waits for the in-flight count to drain
+// to zero, so between pause and resume the workers are idle and the state
+// tables are frozen.
 type gate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -266,10 +444,10 @@ func (g *gate) resume() {
 }
 
 // plane is the swappable half of the engine: the compiled configuration,
-// the per-switch VMs holding the state tables, and their lock sets. step
-// and inject load it once per visit through an atomic pointer; ApplyConfig
-// publishes a replacement only while the gate holds the engine quiescent,
-// so no packet ever sees a torn configuration.
+// the per-switch VMs holding the state tables, and their lock sets.
+// Workers load it once per injection through an atomic pointer;
+// ApplyConfig publishes a replacement only while the gate holds the engine
+// quiescent, so no packet ever sees a torn configuration.
 type plane struct {
 	cfg      *rules.Config
 	switches map[topo.NodeID]*netasm.Switch
@@ -281,8 +459,6 @@ type plane struct {
 	// the control plane and for results that predate the space (-1 ids).
 	owners []topo.NodeID
 	placed []bool
-	// maxFork is the widest multicast fork over all linked programs.
-	maxFork int
 
 	// lockHist holds the per-variable lock-wait histogram handles
 	// (ModeLocks only), indexed like lockSusp/lockWait; resolved at plane
@@ -290,9 +466,9 @@ type plane struct {
 	lockHist []*telemetry.Histogram
 
 	// mode is the concurrency discipline this plane runs (scr.go); scr is
-	// its worker set, nil under ModeLocks. diags are the plane's link-time
-	// diagnostics; repFallback records why a requested replication mode was
-	// refused (empty otherwise).
+	// its per-worker replica set, nil under ModeLocks. diags are the
+	// plane's link-time diagnostics; repFallback records why a requested
+	// replication mode was refused (empty otherwise).
 	mode        ExecMode
 	scr         *scrState
 	diags       []string
@@ -313,8 +489,8 @@ type plane struct {
 // epoch converged.
 func (pl *plane) seedVar(global *state.Store, v string, owner topo.NodeID) {
 	if pl.scr != nil {
-		for _, wk := range pl.scr.workers {
-			wk.switches[owner].SeedVar(global, v)
+		for _, r := range pl.scr.replicas {
+			r.switches[owner].SeedVar(global, v)
 		}
 		return
 	}
@@ -323,7 +499,7 @@ func (pl *plane) seedVar(global *state.Store, v string, owner topo.NodeID) {
 
 // stateTarget resolves the switch a suspended packet must reach, by dense
 // id when the result carries one and by name otherwise.
-func (pl *plane) stateTarget(r netasm.Result) (topo.NodeID, bool) {
+func (pl *plane) stateTarget(r *netasm.Result) (topo.NodeID, bool) {
 	if id := r.StateVarID; id >= 0 && int(id) < len(pl.owners) && pl.placed[id] {
 		return pl.owners[id], true
 	}
@@ -336,24 +512,31 @@ func (pl *plane) stateTarget(r netasm.Result) (topo.NodeID, bool) {
 // configuration no longer knows them; nil means migrate entries unchanged.
 type StateRewrite func(*state.Store) (*state.Store, error)
 
-// Engine is the concurrent data plane.
+// Engine is the data-plane runtime.
 type Engine struct {
 	opts    Options
 	plane   atomic.Pointer[plane]
 	stripes *state.Stripes
 	epoch   atomic.Int64
 	load    map[topo.NodeID]*switchCounters
-	inbox   map[topo.NodeID]chan item
-	slots   chan struct{} // global worker tokens
 	window  chan struct{} // admission control
 	stats   counters
 
-	// Failure injection (failure.go): down switches drop everything queued
-	// at them, dead links drop copies sent across them. The switch count is
-	// fixed for the engine's lifetime, so down is indexed by NodeID.
-	// quar (containment.go) is the panic-quarantine flag per switch: a
-	// contained VM panic marks its switch here, and copies reaching it
-	// drop-and-count until a committed reconfiguration replaces the VM.
+	// The worker pool: Options.Workers workers, each running whole
+	// injections. With one worker the injecting goroutine drives
+	// workers[0] directly and jobs is nil; otherwise every worker has a
+	// goroutine (tracked by wg) serving the shared jobs queue.
+	workers []*worker
+	jobs    chan job
+	wg      sync.WaitGroup
+
+	// Failure injection (failure.go): down switches drop every copy
+	// reaching them, dead links drop copies sent across them. The switch
+	// count is fixed for the engine's lifetime, so down is indexed by
+	// NodeID. quar (containment.go) is the panic-quarantine flag per
+	// switch: a contained VM panic marks its switch here, and copies
+	// reaching it drop-and-count until a committed reconfiguration
+	// replaces the VM.
 	down      []atomic.Bool
 	quar      []atomic.Bool
 	linkMu    sync.Mutex // serializes FailLink writers
@@ -408,10 +591,7 @@ type Engine struct {
 	linkSeconds *telemetry.Histogram
 
 	gate   *gate
-	quit   chan struct{}  // closed by Close; releases straggler sends
-	sendWg sync.WaitGroup // fallback-send goroutines
-	wg     sync.WaitGroup // switch goroutines
-	mu     sync.Mutex     // serializes InjectBatch/InjectStream/Close
+	mu     sync.Mutex // serializes InjectBatch/InjectStream/Close
 	closed atomic.Bool
 
 	failOnce sync.Once
@@ -419,10 +599,10 @@ type Engine struct {
 	err      error
 }
 
-// NewEngine builds the concurrent plane for a compiled configuration and
-// starts its switch goroutines. The engine owns fresh (empty) state
-// tables, independent of any Network built from the same configuration.
-// Call Close to stop the goroutines.
+// NewEngine builds the data plane for a compiled configuration with fresh
+// (empty) state tables and starts its worker pool — no goroutine at all
+// for a single-worker engine without mirror replicas. Call Close to stop
+// the goroutines.
 //
 // Processing errors are sticky: a hop-limit overflow, missing state owner
 // or VM fault aborts the current batch AND poisons the engine — every
@@ -435,19 +615,23 @@ type Engine struct {
 func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	opts = opts.withDefaults(cfg)
 	e := &Engine{
-		opts:    opts,
-		stripes: state.NewStripes(opts.Stripes),
-		load:    make(map[topo.NodeID]*switchCounters, len(cfg.Switches)),
-		inbox:   make(map[topo.NodeID]chan item, len(cfg.Switches)),
-		slots:   make(chan struct{}, opts.Workers),
-		window:  make(chan struct{}, opts.Window),
-		obs:     make(map[topo.NodeID]*obsShard, len(cfg.Switches)),
-		down:    make([]atomic.Bool, cfg.Topo.Switches),
-		quar:    make([]atomic.Bool, cfg.Topo.Switches),
-		gate:    newGate(),
-		quit:    make(chan struct{}),
-
+		opts:     opts,
+		stripes:  state.NewStripes(opts.Stripes),
+		load:     make(map[topo.NodeID]*switchCounters, len(cfg.Switches)),
+		window:   make(chan struct{}, opts.Window),
+		obs:      make(map[topo.NodeID]*obsShard, len(cfg.Switches)),
+		down:     make([]atomic.Bool, cfg.Topo.Switches),
+		quar:     make([]atomic.Bool, cfg.Topo.Switches),
+		gate:     newGate(),
 		contHist: map[string]VarContention{},
+	}
+	for id := range cfg.Switches {
+		e.load[id] = &switchCounters{}
+		e.obs[id] = &obsShard{counts: map[[2]int]int64{}, drops: map[[2]int]int64{}}
+	}
+	e.workers = make([]*worker, opts.Workers)
+	for i := range e.workers {
+		e.workers[i] = &worker{id: i, eng: e, kick: make(chan struct{}, 1), sync: make(chan chan struct{})}
 	}
 	// The registry and the two live histogram handles must exist before
 	// buildPlane runs (it resolves per-variable lock-wait histograms and
@@ -464,50 +648,21 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 		e.tel.Traces = e.traces
 	}
 	e.rep = newReplicator(e, cfg)
-	pl := e.buildPlane(cfg, e.rep)
-	e.plane.Store(pl)
-	if pl.scr != nil {
-		pl.scr.start()
-	}
+	e.plane.Store(e.buildPlane(cfg, e.rep))
 	e.rep.start()
-	// In-flight copies never exceed Window × maxFork (multicast forks
-	// once, at the xFDD leaf dispatch), so inboxes of this capacity make
-	// inter-switch sends non-blocking and the channel graph deadlock-free.
-	inboxCap := opts.Window * pl.maxFork
-	if opts.InboxCapacity > 0 {
-		inboxCap = opts.InboxCapacity
-	}
-	for id := range cfg.Switches {
-		e.load[id] = &switchCounters{}
-		e.obs[id] = &obsShard{counts: map[[2]int]int64{}, drops: map[[2]int]int64{}}
-		e.inbox[id] = make(chan item, inboxCap)
-	}
-	for id := range e.inbox {
-		ch := e.inbox[id]
-		node := id
-		for w := 0; w < opts.SwitchWorkers; w++ {
+	if opts.Workers > 1 {
+		// Window-deep: admission already bounds in-flight injections by
+		// Window, so a send to the pool never blocks the injector.
+		e.jobs = make(chan job, opts.Window)
+		for _, w := range e.workers {
 			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				var sc stepScratch
-				for it := range ch {
-					e.stepGuarded(node, it, &sc)
-				}
-			}()
+			go w.loop(e.jobs)
 		}
 	}
 	e.registerMetrics()
 	return e
 }
 
-// buildPlane instantiates switch VMs for a configuration, linking each
-// program once against the configuration's variable space and selecting
-// the concurrency discipline: when Options.StateReplication is set and the
-// plane classifies replication-safe, per-worker state replicas connected
-// by update rings (scr.go); otherwise one VM set guarded by lock sets
-// drawn from the engine's stripe pool, so successive plane epochs keep a
-// consistent variable→stripe mapping. Replication workers are NOT started
-// here — the caller starts them once the plane is committed.
 // linkProgramsCached is linkPrograms through the engine's cross-epoch
 // cache: distinct images already linked in a previous epoch (same program
 // pointer, ownership set and variable-name space) are reused, so a hot
@@ -551,15 +706,18 @@ func (e *Engine) LinkStats() (reused, linked int64) {
 	return e.linkReused.Load(), e.linkFresh.Load()
 }
 
+// buildPlane instantiates switch VMs for a configuration, linking each
+// program once against the configuration's variable space and selecting
+// the concurrency discipline: when Options.StateReplication is set and the
+// plane classifies replication-safe, per-worker state replicas connected
+// by update rings (scr.go); otherwise one VM set guarded by lock sets
+// drawn from the engine's stripe pool, so successive plane epochs keep a
+// consistent variable→stripe mapping. It starts no goroutine, so an
+// abandoned (rolled-back) plane leaks nothing.
 func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
-	p := &plane{cfg: cfg, maxFork: 1}
+	p := &plane{cfg: cfg}
 	linked := e.linkProgramsCached(cfg)
 	p.diags = collectDiags(linked)
-	for _, lp := range linked {
-		if f := lp.MaxFork(); f > p.maxFork {
-			p.maxFork = f
-		}
-	}
 	vs := cfg.VarSpace()
 	p.owners = make([]topo.NodeID, vs.Len())
 	p.placed = make([]bool, vs.Len())
@@ -575,7 +733,7 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 			p.scr = e.buildSCR(cfg, linked)
 			// Worker 0's replica doubles as the canonical switch set the
 			// control plane reads (always through reconcile, under the gate).
-			p.switches = p.scr.workers[0].switches
+			p.switches = p.scr.replicas[0].switches
 			p.locks = make(map[topo.NodeID]state.LockSet, len(cfg.Switches))
 			return p
 		} else {
@@ -608,8 +766,8 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	return p
 }
 
-// Close stops the switch goroutines. The engine must be quiescent (no
-// InjectBatch/InjectStream in progress).
+// Close stops the worker pool and the mirror drainer. The engine must be
+// quiescent (no InjectBatch/InjectStream in progress).
 func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -617,17 +775,9 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed.Store(true)
-	// Release any fallback-send stragglers before closing their target
-	// channels, so Close never triggers a send on a closed channel even
-	// after an abort left copies parked on full inboxes.
-	close(e.quit)
-	e.sendWg.Wait()
-	for _, ch := range e.inbox {
-		close(ch)
-	}
-	e.wg.Wait()
-	if pl := e.plane.Load(); pl.scr != nil {
-		pl.scr.stop()
+	if e.jobs != nil {
+		close(e.jobs)
+		e.wg.Wait()
 	}
 	e.replicator().stop()
 }
@@ -641,266 +791,19 @@ func (e *Engine) fail(err error) {
 	})
 }
 
-// send enqueues a copy at a switch. The capacity chosen in NewEngine makes
-// the fast path non-blocking; the fallback goroutine is belt-and-braces so
-// a program violating the fork-once bound (or a post-ApplyConfig program
-// with a wider fork than the inboxes were sized for) degrades to extra
-// goroutines instead of deadlocking the switch pool. Stragglers are
-// tracked: Close waits for them and unblocks them through the quit
-// channel, releasing their copy so no injection leaks.
-func (e *Engine) send(to topo.NodeID, it item) {
-	select {
-	case e.inbox[to] <- it:
-	default:
-		e.sendWg.Add(1)
-		go func() {
-			defer e.sendWg.Done()
-			select {
-			case e.inbox[to] <- it:
-			case <-e.quit:
-				it.inj.release(1)
-			}
-		}()
-	}
-}
-
-// hop is a continuation: a packet copy bound for another switch.
-type hop struct {
-	to topo.NodeID
-	it item
-}
-
-// stepScratch is per-goroutine reusable working memory for step: the VM
-// result buffer and the continuation list. Reusing it across visits keeps
-// the steady-state packet loop allocation-free.
-type stepScratch struct {
-	results []netasm.Result
-	cont    []hop
-}
-
-// step executes one packet copy at one switch and routes the results.
-//
-// Scheduling follows the run-to-completion model of fast packet
-// processors: when a copy has exactly one continuation, the same goroutine
-// follows it to the next switch VM instead of handing it off — the per-hop
-// channel wakeup (~µs) would otherwise dwarf the VM execution itself.
-// Channels still carry ingress admission and multicast extras, and the
-// per-switch striped locks make the inlined visit indistinguishable from
-// one performed by the target switch's own pool.
-//
-// Lock discipline per visit: stripe locks first, then a worker token, so
-// a copy waiting for a contended variable does not occupy one of the
-// Options.Workers execution slots. Tokens are only held across Run, which
-// never blocks; stripe holders always progress, so neither wait can
-// deadlock.
-//
-// The plane pointer is reloaded per visit; it can only change between
-// visits of different epochs, because ApplyConfig swaps it strictly while
-// the gate holds the engine quiescent.
-func (e *Engine) step(at topo.NodeID, it item, sc *stepScratch) {
-	for {
-		if e.failed.Load() {
-			it.inj.release(1)
-			return
-		}
-		if e.down[at].Load() {
-			// The switch died with this copy queued at it (or in flight
-			// toward it): the copy is lost. Observe the drop so the
-			// empirical matrix still reflects the offered load.
-			e.stats.dropped.Add(1)
-			e.observeDrop(at, it.sp.Hdr.OBSIn, it.sp.Hdr.OBSOut)
-			traceHop(it.inj.tr, at, "drop", "", -1)
-			it.inj.release(1)
-			return
-		}
-		if e.quarantined(at) {
-			// A contained panic poisoned this switch's VM; its copies
-			// drop-and-count (the down-switch discipline) until a
-			// reconfiguration replaces it.
-			e.dropQuarantined(at, it.inj.tr, it.sp.Hdr.OBSIn, it.sp.Hdr.OBSOut)
-			it.inj.release(1)
-			return
-		}
-		if it.hops > e.opts.MaxHops {
-			e.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", at))
-			it.inj.release(1)
-			return
-		}
-
-		pl := e.plane.Load()
-		sw := pl.switches[at]
-		ls := pl.locks[at]
-		if !ls.Empty() {
-			// Count contended acquisitions per variable: the uncontended
-			// path is a TryLock (one CAS per stripe, same as Lock); only a
-			// blocked visit pays for the clock reads and counter updates.
-			if !ls.TryLock() {
-				t0 := time.Now()
-				ls.Lock()
-				wait := int64(time.Since(t0))
-				e.stats.lockSuspends.Add(1)
-				e.stats.lockWaitNs.Add(wait)
-				for _, vid := range pl.lockVars[at] {
-					pl.lockSusp[vid].Add(1)
-					pl.lockWait[vid].Add(wait)
-					pl.lockHist[vid].Observe(wait)
-				}
-			}
-		}
-		e.slots <- struct{}{}
-		results, err := runContained(sw, at, "engine.step", sc.results[:0], it.sp)
-		sc.results = results
-		<-e.slots
-		if !ls.Empty() {
-			ls.Unlock()
-		}
-		e.load[at].processed.Add(1)
-
-		if err != nil {
-			if e.containVMError(at, err) {
-				e.dropQuarantined(at, it.inj.tr, it.sp.Hdr.OBSIn, it.sp.Hdr.OBSOut)
-				it.inj.release(1)
-				return
-			}
-			e.fail(err)
-			it.inj.release(1)
-			return
-		}
-		if len(results) == 0 {
-			it.inj.release(1)
-			return
-		}
-		// This copy becomes len(results) copies; retire the terminal ones.
-		it.inj.refs.Add(int32(len(results) - 1))
-		terminal := 0
-		cont := sc.cont[:0]
-		for _, r := range results {
-			switch r.Outcome {
-			case netasm.Dropped:
-				e.stats.dropped.Add(1)
-				e.observeDrop(at, r.Packet.Hdr.OBSIn, -1)
-				traceHop(it.inj.tr, at, "drop", "", -1)
-				terminal++
-
-			case netasm.Delivered:
-				e.stats.delivered.Add(1)
-				e.observe(at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-				it.inj.deliver(Delivery{Port: r.Packet.Hdr.OBSOut, Packet: r.Packet.Pkt})
-				traceHop(it.inj.tr, at, "deliver", "", r.Packet.Hdr.OBSOut)
-				terminal++
-
-			case netasm.NeedState:
-				e.stats.suspends.Add(1)
-				e.load[at].suspends.Add(1)
-				target, ok := pl.stateTarget(r)
-				if !ok {
-					e.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", at))
-					terminal++
-					continue
-				}
-				if target == at {
-					e.fail(fmt.Errorf("dataplane: suspended for local state at switch %d", at))
-					terminal++
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, at, r.Packet, target)
-				if err != nil {
-					e.fail(err)
-					terminal++
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, at, "drop", r.StateVar, -1)
-					terminal++
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[at].forwarded.Add(1)
-				traceHop(it.inj.tr, at, "suspend", r.StateVar, -1)
-				cont = append(cont, hop{to: next, it: item{sp: r.Packet, hops: it.hops + 1, inj: it.inj}})
-
-			case netasm.ToEgress:
-				eg, ok := pl.cfg.Topo.PortByID(r.Packet.Hdr.OBSOut)
-				if !ok {
-					e.stats.dropped.Add(1)
-					e.observeDrop(at, r.Packet.Hdr.OBSIn, -1)
-					traceHop(it.inj.tr, at, "drop", "", -1)
-					terminal++
-					continue
-				}
-				if eg.Switch == at {
-					e.stats.delivered.Add(1)
-					e.observe(at, r.Packet.Hdr.OBSIn, eg.ID)
-					it.inj.deliver(Delivery{Port: eg.ID, Packet: r.Packet.Pkt})
-					traceHop(it.inj.tr, at, "deliver", "", eg.ID)
-					terminal++
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, at, r.Packet, eg.Switch)
-				if err != nil {
-					e.fail(err)
-					terminal++
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, at, "drop", "", r.Packet.Hdr.OBSOut)
-					terminal++
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[at].forwarded.Add(1)
-				traceHop(it.inj.tr, at, "forward", "", r.Packet.Hdr.OBSOut)
-				cont = append(cont, hop{to: next, it: item{sp: r.Packet, hops: it.hops + 1, inj: it.inj}})
-			}
-		}
-		it.inj.release(terminal)
-		sc.cont = cont
-		if len(cont) == 0 {
-			return
-		}
-		// Multicast extras go through the link channels; the first
-		// continuation is followed in place.
-		for _, h := range cont[1:] {
-			e.send(h.to, h.it)
-		}
-		at, it = cont[0].to, cont[0].it
-	}
-}
-
-// stepGuarded is step under a last-resort recover: VM panics are already
-// contained inside the visit (runContained), so anything recovered here is
-// a bug in the engine's own routing/bookkeeping — the process survives,
-// the engine poisons with the captured stack, and the copy is released so
-// the injection cannot leak.
-func (e *Engine) stepGuarded(at topo.NodeID, it item, sc *stepScratch) {
-	defer func() {
-		if v := recover(); v != nil {
-			e.fail(fmt.Errorf("dataplane: panic in switch worker at switch %d: %v\n%s", at, v, debug.Stack()))
-			it.inj.release(1)
-		}
-	}()
-	e.step(at, it, sc)
-}
-
 // inject admits one packet (blocking on the gate, then the window) and
-// runs it: enqueued at its ingress switch's inbox, or — when the caller
-// passes a scratch — executed inline on the calling goroutine
-// (run-to-completion from the ingress, the single-worker fast path; see
-// InjectReplay). collect controls whether deliveries are recorded. An
+// hands it to the worker pool — run on the calling goroutine when the
+// engine has one worker. out, when non-nil, collects its deliveries. An
 // unknown port rejects only this injection — the caller gets the error and
 // the engine stays usable; packets admitted before the bad one have
 // already run, which stream callers must expect.
-func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup, sc *stepScratch) (*injection, error) {
+func (e *Engine) inject(ing Ingress, out *[]Delivery, wg *sync.WaitGroup) error {
 	e.gate.enter()
 	pl := e.plane.Load()
 	pt, ok := pl.cfg.Topo.PortByID(ing.Port)
 	if !ok {
 		e.gate.leave()
-		return nil, fmt.Errorf("dataplane: unknown ingress port %d", ing.Port)
+		return fmt.Errorf("dataplane: unknown ingress port %d", ing.Port)
 	}
 	if w := e.opts.ShedWatermark; w > 0 && len(e.window) >= w {
 		// Overload: the in-flight window is at the shed watermark. Reject
@@ -908,55 +811,33 @@ func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup, sc *stepS
 		// so the depth read cannot race another injector upward.
 		e.gate.leave()
 		e.stats.shed.Add(1)
-		return nil, ErrOverload
+		return ErrOverload
 	}
 	e.window <- struct{}{}
 	seq := e.stats.injected.Add(1)
-	var inj *injection
-	if collect {
-		inj = &injection{seen: map[deliveryKey]bool{}}
-	} else {
-		inj = injPool.Get().(*injection)
-		inj.pooled = true
-	}
-	inj.eng, inj.wg = e, wg
-	if e.sampler.Hit() {
-		inj.tr = e.traces.Start(ing.Port, seq)
-	}
-	inj.refs.Store(1)
-	sp := netasm.SimPacket{
-		Pkt: ing.Packet,
-		Hdr: netasm.Header{
-			OBSIn:  ing.Port,
-			OBSOut: -1,
-			Node:   pl.cfg.RootID,
-			Seq:    -1,
-			Phase:  netasm.PhaseEval,
+	j := job{
+		at: pt.Switch,
+		sp: netasm.SimPacket{
+			Pkt: ing.Packet,
+			Hdr: netasm.Header{
+				OBSIn:  ing.Port,
+				OBSOut: -1,
+				Node:   pl.cfg.RootID,
+				Seq:    -1,
+				Phase:  netasm.PhaseEval,
+			},
 		},
+		out: out,
+		wg:  wg,
+	}
+	if e.sampler.Hit() {
+		j.tr = e.traces.Start(ing.Port, seq)
 	}
 	wg.Add(1)
-	switch {
-	case pl.scr != nil:
-		// Replication discipline: the whole injection runs on one worker's
-		// private replica set (scr.go); the per-switch inboxes stay idle.
-		pl.scr.dispatch(hop{to: pt.Switch, it: item{sp: sp, inj: inj}})
-	case sc != nil:
-		e.step(pt.Switch, item{sp: sp, inj: inj}, sc)
-	default:
-		e.send(pt.Switch, item{sp: sp, inj: inj})
-	}
-	return inj, nil
-}
-
-// injectScratch decides whether injections run inline on the injecting
-// goroutine: with a single execution slot the channel handoff to a switch
-// worker buys no parallelism and costs a wakeup per packet, so the caller
-// becomes the worker (multicast extras still flow through the inboxes).
-// With more workers, handing the packet off keeps the injector free to
-// admit the next one.
-func (e *Engine) injectScratch() *stepScratch {
-	if e.opts.Workers == 1 {
-		return &stepScratch{}
+	if e.jobs == nil {
+		e.workers[0].run(&j)
+	} else {
+		e.jobs <- j
 	}
 	return nil
 }
@@ -964,10 +845,10 @@ func (e *Engine) injectScratch() *stepScratch {
 // InjectBatch pushes a batch of packets through the plane concurrently and
 // waits for quiescence. out[i] holds the deliveries of batch[i], sorted
 // canonically (port, then packet key); multicast copies that end up
-// indistinguishable collapse, as in Network.Inject. Ingress ports are
-// validated up front, so a bad batch is rejected before any packet runs;
-// a processing error mid-batch aborts it (remaining copies drain
-// unprocessed) and poisons the engine — see NewEngine.
+// indistinguishable collapse, as the semantics' packet sets do. Ingress
+// ports are validated up front, so a bad batch is rejected before any
+// packet runs; a processing error mid-batch aborts it (remaining copies
+// drain unprocessed) and poisons the engine — see NewEngine.
 func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -986,27 +867,22 @@ func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 		return nil, e.err
 	}
 	out := make([][]Delivery, len(batch))
-	injs := make([]*injection, 0, len(batch))
-	var batchWg sync.WaitGroup
-	sc := e.injectScratch()
-	for _, ing := range batch {
+	var wg sync.WaitGroup
+	for i, ing := range batch {
 		if e.failed.Load() {
 			break
 		}
-		inj, err := e.inject(ing, true, &batchWg, sc)
-		if err != nil {
-			batchWg.Wait()
+		if err := e.inject(ing, &out[i], &wg); err != nil {
+			wg.Wait()
 			return nil, err
 		}
-		injs = append(injs, inj)
 	}
-	batchWg.Wait()
+	wg.Wait()
 	if e.failed.Load() {
 		return nil, e.err
 	}
-	for i, inj := range injs {
-		sortDeliveries(inj.out)
-		out[i] = inj.out
+	for _, ds := range out {
+		sortDeliveries(ds)
 	}
 	return out, nil
 }
@@ -1037,13 +913,12 @@ func (e *Engine) stream(next func() (Ingress, bool)) error {
 		return e.err
 	}
 	var wg sync.WaitGroup
-	sc := e.injectScratch()
 	for {
 		ing, ok := next()
 		if !ok || e.failed.Load() {
 			break
 		}
-		if _, err := e.inject(ing, false, &wg, sc); err != nil {
+		if err := e.inject(ing, nil, &wg); err != nil {
 			if errors.Is(err, ErrOverload) {
 				// Graceful degradation: the shed packet is counted and
 				// the stream goes on — long replays ride out transient
@@ -1082,8 +957,8 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 //
 //  1. pause — the admission gate stops new injections (InjectBatch and
 //     InjectStream callers block mid-call and continue afterwards) and
-//     waits for all in-flight copies to retire, leaving the switch
-//     goroutines parked on empty inboxes;
+//     waits for all in-flight injections to retire, leaving the workers
+//     idle;
 //  2. migrate — the per-switch state tables are unioned into the global
 //     store, passed through rewrite (nil = identity; internal/ctrl uses it
 //     to fold shard variables the new configuration no longer knows), and
@@ -1095,10 +970,8 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 // The new configuration must target the same physical network (same
 // switch count, same OBS port→switch attachment); routing, placement and
 // programs are free to change. A state variable with entries but no owner
-// under the new placement is an error — fold or drop it in rewrite. The
-// inbox channels keep their original capacity; if the new programs fork
-// wider than the engine was sized for, sends degrade to tracked fallback
-// goroutines instead of misbehaving. ApplyConfig must not race with Close.
+// under the new placement is an error — fold or drop it in rewrite.
+// ApplyConfig must not race with Close.
 func (e *Engine) ApplyConfig(cfg *rules.Config, rewrite StateRewrite) error {
 	// A failed switch must stay failed in the new configuration: applying
 	// a topology that treats it as up would silently re-seat state (and
@@ -1130,7 +1003,7 @@ type recovery struct {
 // apply is the shared swap sequence of ApplyConfig, Failover and Recover,
 // structured as a transaction: prepare (flush, reconcile, union, rewrite),
 // validate (every entry-holding variable has an up owner), build (link +
-// plane + replica seed — no goroutines started), then commit. Every
+// plane + replica seed), then commit. Every
 // fallible stage runs in prepareSwap against private data; a failure
 // there — or a panic, contained there — rolls back: the old plane keeps
 // serving on the unchanged epoch with all state intact, the rollback
@@ -1201,12 +1074,6 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	oldRep := e.rep
 	e.rep = newRep
 	e.repMu.Unlock()
-	if old.scr != nil {
-		old.scr.stop()
-	}
-	if next.scr != nil {
-		next.scr.start()
-	}
 	oldRep.stop()
 	newRep.start()
 	fs.LostWrites = e.repLost.Load()
@@ -1221,8 +1088,8 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 // snapshotted and restored on failure (a half-populated cache keyed to an
 // abandoned VarSpace must not leak into the next attempt). A panic in any
 // stage is contained here and rolls back like an error. No goroutines are
-// started for the tentative plane (buildPlane/buildSCR and newReplicator
-// guarantee that), so abandoning it leaks nothing.
+// started for the tentative plane (buildPlane and newReplicator guarantee
+// that), so abandoning it leaks nothing.
 //
 // The engine.apply.* fault points mark the three externally injectable
 // failure stages — rewrite, link, reseed — for tests and the chaos
@@ -1321,8 +1188,8 @@ func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, global *state.Sto
 }
 
 // compatible checks a new configuration targets the engine's physical
-// network: switch IDs index the inbox map and port attachments decide
-// where injections enter, so both must be preserved across epochs. In
+// network: switch IDs index the per-switch counters and port attachments
+// decide where injections enter, so both must be preserved across epochs. In
 // degraded mode the new topology may have *fewer* ports (a dead switch
 // takes its ports with it), but every surviving port must keep its
 // attachment; otherwise the port sets must match exactly. Mismatches
@@ -1490,13 +1357,14 @@ func (e *Engine) Load() map[topo.NodeID]SwitchLoad {
 	return out
 }
 
-// GlobalState unions the per-switch state tables, as Network.GlobalState.
-// The union is built under the admission gate: new injections pause and
-// in-flight copies drain first, so the snapshot is a consistent quiescent
-// point even when taken mid-stream, and the returned store is a copy that
-// later traffic cannot mutate. Down switches are excluded — their memory
-// died with them — so after a failure this is the *surviving* global
-// state.
+// GlobalState unions the per-switch state tables into the one-big-switch
+// store. Placement puts each variable on exactly one switch, so the union
+// is well defined. It is built under the admission gate: new injections
+// pause and in-flight copies drain first, so the snapshot is a consistent
+// quiescent point even when taken mid-stream, and the returned store is a
+// copy that later traffic cannot mutate. Down switches are excluded —
+// their memory died with them — so after a failure this is the
+// *surviving* global state.
 func (e *Engine) GlobalState() *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
@@ -1505,14 +1373,17 @@ func (e *Engine) GlobalState() *state.Store {
 	return e.unionUpState(pl.switches)
 }
 
-// SwitchTable snapshots one switch's tables (tests and diagnostics),
-// under the same gate discipline as GlobalState. Unlike
-// Network.SwitchTable it returns a copy: the live tables may move to a
-// different owner at the next ApplyConfig.
+// SwitchTable snapshots one switch's tables in canonical Store form
+// (tests and diagnostics), under the same gate discipline as GlobalState.
+// It returns a copy: the live tables may move to a different owner at the
+// next ApplyConfig.
 func (e *Engine) SwitchTable(id topo.NodeID) *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
 	pl := e.plane.Load()
 	e.reconcile(pl)
-	return switchTable(pl.switches, id)
+	if sw, ok := pl.switches[id]; ok {
+		return sw.Snapshot()
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -31,19 +30,11 @@ func deliveryKey(d dataplane.Delivery) string {
 	return fmt.Sprintf("%d|%s", d.Port, d.Packet.Key())
 }
 
-func sortedKeys(ds []dataplane.Delivery) []string {
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		out[i] = deliveryKey(d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestEngineSequentialEquivalence: a batch through the concurrent engine
-// must produce, per injection, the same delivery sets as N sequential
-// Inject calls, and the same final global state under any execution
-// order. The workload is chosen commutative — a per-ingress counter plus a
+// must produce, per injection, the deliveries the semantics prescribes for
+// that packet, and the semantics' final global state under any execution
+// order; its counters must match a single-worker run of the same batch.
+// The workload is chosen commutative — a per-ingress counter plus a
 // monotone seen-flag — with forwarding independent of state, so the
 // per-injection results are order-independent and the comparison is exact.
 func TestEngineSequentialEquivalence(t *testing.T) {
@@ -56,7 +47,7 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 		syntax.Id(),
 	)
 	p := campusWorkload(syntax.Par(seenWriter, apps.Monitor()))
-	seqPlane, _ := deploy(t, p, netw, nil)
+	cfg := deploy(t, p, netw, nil)
 
 	rng := rand.New(rand.NewSource(11))
 	batch := make([]dataplane.Ingress, 0, 300)
@@ -65,22 +56,25 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 		batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
 	}
 
-	// Sequential reference on a fresh plane.
-	want := make([][]dataplane.Delivery, len(batch))
+	// The specification, packet by packet in batch order.
+	want := make([]map[string]bool, len(batch))
+	ref := state.NewStore()
 	for i, ing := range batch {
-		ds, err := seqPlane.Inject(ing.Port, ing.Packet)
-		if err != nil {
-			t.Fatalf("sequential inject %d: %v", i, err)
-		}
-		want[i] = ds
+		want[i], ref = specStep(t, p, ref, ing.Packet, netw)
 	}
+	// The counter reference: one worker, the same batch.
+	seqEng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 1, Window: 64})
+	defer seqEng.Close()
+	if _, err := seqEng.InjectBatch(batch); err != nil {
+		t.Fatalf("single-worker InjectBatch: %v", err)
+	}
+	seq := seqEng.Stats()
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{
-				Workers:       workers,
-				SwitchWorkers: 2,
-				Window:        64,
+			eng := dataplane.NewEngine(cfg, dataplane.Options{
+				Workers: workers,
+				Window:  64,
 			})
 			defer eng.Close()
 			got, err := eng.InjectBatch(batch)
@@ -88,65 +82,40 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 				t.Fatalf("InjectBatch: %v", err)
 			}
 			for i := range batch {
-				w, g := sortedKeys(want[i]), sortedKeys(got[i])
-				if len(w) != len(g) {
-					t.Fatalf("injection %d: want %d deliveries, got %d", i, len(w), len(g))
-				}
-				for j := range w {
-					if w[j] != g[j] {
-						t.Fatalf("injection %d delivery %d: want %s, got %s", i, j, w[j], g[j])
-					}
-				}
+				checkDeliveries(t, fmt.Sprintf("injection %d", i), got[i], want[i])
 			}
-			if !eng.GlobalState().Equal(seqPlane.GlobalState()) {
-				t.Fatalf("final state diverges from sequential run\nengine:\n%s\nsequential:\n%s",
-					eng.GlobalState(), seqPlane.GlobalState())
+			if !eng.GlobalState().Equal(ref) {
+				t.Fatalf("final state diverges from the semantics\nengine:\n%s\nsemantics:\n%s",
+					eng.GlobalState(), ref)
 			}
 			st := eng.Stats()
 			if st.Injected != int64(len(batch)) {
 				t.Fatalf("stats.Injected = %d, want %d", st.Injected, len(batch))
 			}
-			seq := seqPlane.Stats()
 			if st.Delivered != seq.Delivered || st.Dropped != seq.Dropped || st.Suspends != seq.Suspends {
-				t.Fatalf("stats diverge: engine %+v vs sequential %+v", st, seq)
+				t.Fatalf("stats diverge: engine %+v vs single-worker %+v", st, seq)
 			}
 		})
 	}
 }
 
 // TestEngineBatchOfOneExactEquivalence: with batches of size 1 the engine
-// is lockstep-equivalent to Network.Inject for *any* policy, including
+// is lockstep-equivalent to the semantics for *any* policy, including
 // ones whose forwarding depends on state order (the stateful firewall).
 func TestEngineBatchOfOneExactEquivalence(t *testing.T) {
 	netw := topo.Campus(1000)
 	fw, _ := apps.ByName("stateful-firewall")
 	p := campusWorkload(fw.MustPolicy())
-	seqPlane, d := deploy(t, p, netw, nil)
-
-	eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{SwitchWorkers: 2})
+	eng := dataplane.NewEngine(deploy(t, p, netw, nil), dataplane.Options{})
 	defer eng.Close()
 
 	ref := state.NewStore()
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 200; i++ {
 		port, pk := campusPacket(rng)
-		want, err := seqPlane.Inject(port, pk)
-		if err != nil {
-			t.Fatalf("packet %d: sequential: %v", i, err)
-		}
-		got, err := eng.InjectBatch([]dataplane.Ingress{{Port: port, Packet: pk}})
-		if err != nil {
-			t.Fatalf("packet %d: engine: %v", i, err)
-		}
-		w, g := sortedKeys(want), sortedKeys(got[0])
-		if fmt.Sprint(w) != fmt.Sprint(g) {
-			t.Fatalf("packet %d: deliveries diverge: want %v, got %v", i, w, g)
-		}
-		_, ref2, err := d.Eval(ref, pk)
-		if err != nil {
-			t.Fatalf("packet %d: ref eval: %v", i, err)
-		}
-		ref = ref2
+		want, next := specStep(t, p, ref, pk, netw)
+		ref = next
+		checkDeliveries(t, fmt.Sprintf("packet %d", i), injectOne(t, eng, port, pk), want)
 		if !eng.GlobalState().Equal(ref) {
 			t.Fatalf("packet %d: engine state diverges from semantics", i)
 		}
@@ -154,10 +123,11 @@ func TestEngineBatchOfOneExactEquivalence(t *testing.T) {
 }
 
 // TestEngineShardedStateEquivalence is the shard × engine property test: a
-// sharded program executed concurrently leaves, after shard.Merge, the
-// same final store as the unsharded program executed sequentially — over
-// several random traces (the updates are per-ingress counters, so shards
-// are disjoint and updates commute).
+// sharded program executed concurrently delivers, per injection, what the
+// semantics of the unsharded program prescribes, and leaves, after
+// shard.Merge, the unsharded program's final store — over several random
+// traces (the updates are per-ingress counters, so shards are disjoint and
+// updates commute).
 func TestEngineShardedStateEquivalence(t *testing.T) {
 	netw := topo.Campus(1000)
 	plan := shard.PortsPlan("count", []int{1, 2, 3, 4, 5, 6})
@@ -165,8 +135,8 @@ func TestEngineShardedStateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shard.Apply: %v", err)
 	}
-	seqPlane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	shardPlane, _ := deploy(t, campusWorkload(shardedInner), netw, nil)
+	unsharded := campusWorkload(apps.Monitor())
+	shardCfg := deploy(t, campusWorkload(shardedInner), netw, nil)
 
 	for _, seed := range []int64{1, 7, 23, 99} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -177,29 +147,31 @@ func TestEngineShardedStateEquivalence(t *testing.T) {
 				batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
 			}
 
-			// Unsharded sequential reference (fresh plane per seed).
-			refPlane := dataplane.New(seqPlane.Config())
+			// Unsharded specification (fresh store per seed).
+			want := make([]map[string]bool, len(batch))
+			ref := state.NewStore()
 			for i, ing := range batch {
-				if _, err := refPlane.Inject(ing.Port, ing.Packet); err != nil {
-					t.Fatalf("sequential inject %d: %v", i, err)
-				}
+				want[i], ref = specStep(t, unsharded, ref, ing.Packet, netw)
 			}
 
-			eng := dataplane.NewEngine(shardPlane.Config(), dataplane.Options{
-				SwitchWorkers: 2,
-				Window:        32,
+			eng := dataplane.NewEngine(shardCfg, dataplane.Options{
+				Window: 32,
 			})
 			defer eng.Close()
-			if _, err := eng.InjectBatch(batch); err != nil {
+			got, err := eng.InjectBatch(batch)
+			if err != nil {
 				t.Fatalf("InjectBatch: %v", err)
+			}
+			for i := range batch {
+				checkDeliveries(t, fmt.Sprintf("injection %d", i), got[i], want[i])
 			}
 			merged, err := shard.Merge(eng.GlobalState(), plan, nil)
 			if err != nil {
 				t.Fatalf("merge: %v", err)
 			}
-			if !merged.Equal(refPlane.GlobalState()) {
-				t.Fatalf("sharded concurrent state != unsharded sequential state\nmerged:\n%s\nref:\n%s",
-					merged, refPlane.GlobalState())
+			if !merged.Equal(ref) {
+				t.Fatalf("sharded concurrent state != unsharded semantics state\nmerged:\n%s\nref:\n%s",
+					merged, ref)
 			}
 		})
 	}
@@ -210,9 +182,9 @@ func TestEngineShardedStateEquivalence(t *testing.T) {
 func TestEngineStreamAndLoad(t *testing.T) {
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
-	plane, _ := deploy(t, p, netw, nil)
+	cfg := deploy(t, p, netw, nil)
 
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 4, Window: 16})
 	defer eng.Close()
 
 	const n = 500
@@ -272,8 +244,8 @@ func countSum(st *state.Store) int64 {
 // poisoning every later batch.
 func TestEngineBadPortDoesNotPoison(t *testing.T) {
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{SwitchWorkers: 2, Window: 16})
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(3))
@@ -310,15 +282,13 @@ func TestEngineBadPortDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackSendClose: with the inbox capacity forced below the
-// fork bound, multicast sends overflow onto the fallback-goroutine path.
-// Those stragglers must be tracked so the engine drains, Close never
-// panics on a closed channel, and nothing leaks — run under -race.
+// TestEngineFallbackSendClose: a fork-heavy multicast plane on a pool of
+// four workers. Every multicast extra joins its worker's local queue, so
+// each injection retires exactly once with both copies delivered, and
+// Close stops the pool cleanly afterwards — run under -race.
 func TestEngineFallbackSendClose(t *testing.T) {
 	netw := topo.Campus(1000)
-	// Every packet forks: one copy to port 5, one to port 6 — a
-	// fork-heavy plane whose inter-switch sends constantly collide with
-	// the 1-slot inboxes.
+	// Every packet forks: one copy to port 5, one to port 6.
 	p := syntax.Then(
 		apps.Assumption(6),
 		syntax.Par(
@@ -326,12 +296,9 @@ func TestEngineFallbackSendClose(t *testing.T) {
 			syntax.Assign(pkt.Outport, values.Int(6)),
 		),
 	)
-	plane, _ := deploy(t, p, netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers:       4,
-		SwitchWorkers: 2,
-		Window:        64,
-		InboxCapacity: 1,
+	eng := dataplane.NewEngine(deploy(t, p, netw, nil), dataplane.Options{
+		Workers: 4,
+		Window:  64,
 	})
 
 	rng := rand.New(rand.NewSource(9))
@@ -347,8 +314,7 @@ func TestEngineFallbackSendClose(t *testing.T) {
 	if st.Delivered != 2*int64(len(trace)) {
 		t.Fatalf("delivered %d copies, want %d", st.Delivered, 2*len(trace))
 	}
-	// Close waits out straggler senders before closing their channels; a
-	// regression here panics (send on closed channel) or hangs.
+	// A regression here panics (send on closed channel) or hangs.
 	eng.Close()
 }
 
@@ -357,8 +323,8 @@ func TestEngineFallbackSendClose(t *testing.T) {
 // drains in-flight copies first). Run under -race.
 func TestEngineSnapshotsMidStream(t *testing.T) {
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 16})
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 4, Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(21))
@@ -370,7 +336,7 @@ func TestEngineSnapshotsMidStream(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- eng.InjectReplay(trace) }()
 
-	owner := plane.Config().Placement["count"]
+	owner := cfg.Placement["count"]
 	var last int64
 	for i := 0; i < 40; i++ {
 		st := eng.GlobalState()
@@ -398,10 +364,10 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
 	from, to := topo.NodeID(8), topo.NodeID(2)
-	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": from})
-	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": to})
+	cfgA := deploy(t, p, netw, map[string]topo.NodeID{"count": from})
+	cfgB := deploy(t, p, netw, map[string]topo.NodeID{"count": to})
 
-	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(cfgA, dataplane.Options{Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(31))
@@ -418,7 +384,7 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 		t.Fatal("expected count entries at the original owner")
 	}
 
-	if err := eng.ApplyConfig(planeB.Config(), nil); err != nil {
+	if err := eng.ApplyConfig(cfgB, nil); err != nil {
 		t.Fatalf("ApplyConfig: %v", err)
 	}
 	if e := eng.Epoch(); e != 1 {
@@ -449,10 +415,10 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 func TestEngineApplyConfigMidStream(t *testing.T) {
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
-	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
-	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
+	cfgA := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
+	cfgB := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
 
-	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(cfgA, dataplane.Options{Workers: 4, Window: 16})
 	defer eng.Close()
 
 	const n = 1500
@@ -466,11 +432,11 @@ func TestEngineApplyConfigMidStream(t *testing.T) {
 		ch <- dataplane.Ingress{Port: port, Packet: pk}
 		switch i {
 		case 500:
-			if err := eng.ApplyConfig(planeB.Config(), nil); err != nil {
+			if err := eng.ApplyConfig(cfgB, nil); err != nil {
 				t.Errorf("ApplyConfig #1: %v", err)
 			}
 		case 1000:
-			if err := eng.ApplyConfig(planeA.Config(), nil); err != nil {
+			if err := eng.ApplyConfig(cfgA, nil); err != nil {
 				t.Errorf("ApplyConfig #2: %v", err)
 			}
 		}
@@ -497,8 +463,8 @@ func TestEngineApplyConfigMidStream(t *testing.T) {
 // TestEngineUnknownPort: injecting at a nonexistent port errors cleanly.
 func TestEngineUnknownPort(t *testing.T) {
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{})
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{})
 	defer eng.Close()
 	if _, err := eng.InjectBatch([]dataplane.Ingress{{Port: 9999, Packet: pkt.New(map[pkt.Field]values.Value{})}}); err == nil {
 		t.Fatal("expected error for unknown ingress port")

@@ -2,13 +2,13 @@
 // tables, flat extractors, inline pending writes) against the formal
 // semantics evaluator (internal/semantics), packet by packet, over the
 // example application catalogue, seeded random policies, and the sharded
-// monitor workload — through both runtimes (sequential Network, concurrent
-// Engine at batch size 1, which is lockstep-exact for any policy). Linking
-// is a cost transformation, never a semantic one; this suite is the fence.
+// monitor workload — through both engine configurations (one worker
+// running on the caller, and a worker pool), at batch size 1, which is
+// lockstep-exact for any policy. Linking is a cost transformation, never a
+// semantic one; this suite is the fence.
 package dataplane_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -49,74 +49,38 @@ func richPacket(rng *rand.Rand) (int, pkt.Packet) {
 	return port, p
 }
 
+// equivEngines builds the two engine configurations the suite checks side
+// by side: one worker running on the caller ("inline") and a two-worker
+// pool ("pool").
+func equivEngines(cfg *rules.Config) map[string]*dataplane.Engine {
+	return map[string]*dataplane.Engine{
+		"inline": dataplane.NewEngine(cfg, dataplane.Options{Workers: 1, Window: 16}),
+		"pool":   dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, Window: 16}),
+	}
+}
+
 // checkCompiledEquivalence compiles policy onto the campus and verifies,
-// per packet: semantics.Eval deliveries == Network deliveries == Engine
-// (batch-of-1) deliveries, and all three global states agree.
+// per packet: semantics.Eval deliveries == each engine's (batch-of-1)
+// deliveries, and the global states agree.
 func checkCompiledEquivalence(t *testing.T, policy syntax.Policy, packets int, seed int64) {
 	t.Helper()
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, policy, netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers:       1,
-		SwitchWorkers: 1,
-		Window:        16,
-	})
-	defer eng.Close()
+	engs := equivEngines(deploy(t, policy, netw, nil))
+	for _, eng := range engs {
+		defer eng.Close()
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	ref := state.NewStore()
 	for i := 0; i < packets; i++ {
 		port, p := richPacket(rng)
-
-		res, err := semantics.Eval(policy, ref, p)
-		if err != nil {
-			// A dynamic read/write conflict the static pipeline cannot
-			// see: the semantics is undefined from here on (the xFDD fuzz
-			// suite skips these the same way).
-			var ce *semantics.ConflictError
-			if errors.As(err, &ce) {
-				t.Skipf("packet %d: dynamic state conflict, reference undefined: %v", i, err)
+		want, next := specStep(t, policy, ref, p, netw)
+		ref = next
+		for name, eng := range engs {
+			checkDeliveries(t, fmt.Sprintf("packet %d (%v): %s", i, p, name), injectOne(t, eng, port, p), want)
+			if !eng.GlobalState().Equal(ref) {
+				t.Fatalf("packet %d: %s state diverges\nengine:\n%s\nref:\n%s", i, name, eng.GlobalState(), ref)
 			}
-			t.Fatalf("packet %d: semantics eval: %v", i, err)
-		}
-		ref = res.Store
-		want := map[string]bool{}
-		for _, wp := range res.Packets {
-			out := wp.Field(pkt.Outport)
-			if out.Kind != values.KindInt {
-				continue
-			}
-			if _, ok := netw.PortByID(int(out.Num)); !ok {
-				continue
-			}
-			want[fmt.Sprintf("%d|%s", out.Num, wp.Key())] = true
-		}
-
-		got, err := plane.Inject(port, p)
-		if err != nil {
-			t.Fatalf("packet %d: network inject: %v", i, err)
-		}
-		gotE, err := eng.InjectBatch([]dataplane.Ingress{{Port: port, Packet: p}})
-		if err != nil {
-			t.Fatalf("packet %d: engine inject: %v", i, err)
-		}
-
-		for name, ds := range map[string][]dataplane.Delivery{"network": got, "engine": gotE[0]} {
-			if len(ds) != len(want) {
-				t.Fatalf("packet %d (%v): %s delivered %d, semantics says %d (%v vs %v)",
-					i, p, name, len(ds), len(want), ds, want)
-			}
-			for _, d := range ds {
-				if !want[deliveryKey(d)] {
-					t.Fatalf("packet %d: %s delivery %s not in semantics output %v", i, name, deliveryKey(d), want)
-				}
-			}
-		}
-		if !plane.GlobalState().Equal(ref) {
-			t.Fatalf("packet %d: network state diverges\nplane:\n%s\nref:\n%s", i, plane.GlobalState(), ref)
-		}
-		if !eng.GlobalState().Equal(ref) {
-			t.Fatalf("packet %d: engine state diverges\nengine:\n%s\nref:\n%s", i, eng.GlobalState(), ref)
 		}
 	}
 }
@@ -270,8 +234,9 @@ func compiles(policy syntax.Policy) bool {
 }
 
 // TestCompiledPlaneShardedEquivalence: the sharded monitor workload
-// through Network and Engine must, after shard.Merge, match the semantics
-// evaluator's state for the unsharded policy, with identical deliveries.
+// through both engine configurations must, after shard.Merge, match the
+// semantics evaluator's state for the unsharded policy, with identical
+// deliveries.
 func TestCompiledPlaneShardedEquivalence(t *testing.T) {
 	packets := 200
 	if testing.Short() {
@@ -286,13 +251,10 @@ func TestCompiledPlaneShardedEquivalence(t *testing.T) {
 	sharded := campusWorkload(shardedInner)
 
 	netw := topo.Campus(1000)
-	shardNet, _ := deploy(t, sharded, netw, nil)
-	eng := dataplane.NewEngine(shardNet.Config(), dataplane.Options{
-		Workers:       1,
-		SwitchWorkers: 1,
-		Window:        16,
-	})
-	defer eng.Close()
+	engs := equivEngines(deploy(t, sharded, netw, nil))
+	for _, eng := range engs {
+		defer eng.Close()
+	}
 
 	rng := rand.New(rand.NewSource(42))
 	ref := state.NewStore()
@@ -303,24 +265,15 @@ func TestCompiledPlaneShardedEquivalence(t *testing.T) {
 			t.Fatalf("packet %d: eval: %v", i, err)
 		}
 		ref = res.Store
-		got, err := shardNet.Inject(port, p)
-		if err != nil {
-			t.Fatalf("packet %d: network: %v", i, err)
-		}
-		gotE, err := eng.InjectBatch([]dataplane.Ingress{{Port: port, Packet: p}})
-		if err != nil {
-			t.Fatalf("packet %d: engine: %v", i, err)
-		}
-		if len(got) != len(res.Packets) || len(gotE[0]) != len(res.Packets) {
-			t.Fatalf("packet %d: deliveries diverge: net %d, eng %d, semantics %d",
-				i, len(got), len(gotE[0]), len(res.Packets))
+		for name, eng := range engs {
+			if got := injectOne(t, eng, port, p); len(got) != len(res.Packets) {
+				t.Fatalf("packet %d: deliveries diverge: %s %d, semantics %d",
+					i, name, len(got), len(res.Packets))
+			}
 		}
 	}
-	for name, st := range map[string]*state.Store{
-		"network": shardNet.GlobalState(),
-		"engine":  eng.GlobalState(),
-	} {
-		merged, err := shard.Merge(st, plan, nil)
+	for name, eng := range engs {
+		merged, err := shard.Merge(eng.GlobalState(), plan, nil)
 		if err != nil {
 			t.Fatalf("%s: merge: %v", name, err)
 		}

@@ -18,32 +18,31 @@
 // paper's packet-history ordering, with Lamport tags standing in for the
 // shared sequencer.
 //
-// Equivalence with the sequential plane: a worker publishes its packet's
-// log before the injection is released, and drains before the next packet
-// runs, so with one packet in flight at a time the replicated plane is
-// lockstep-identical to Network.Inject for any replication-safe program
-// (the equivalence suite asserts exactly this). Under concurrency, packets
-// in flight on different workers may read replicas that lag each other's
-// unpublished writes — the paper's documented commutativity window; sums
-// of deltas are nevertheless exact, and the convergence audit
-// (AuditReplicas) checks all replicas agree at quiescence.
+// Equivalence with the specification: a worker publishes its packet's log
+// before the injection retires, and drains before the next packet runs,
+// so with one packet in flight at a time the replicated plane is
+// lockstep-identical to the one-big-switch semantics for any
+// replication-safe program (the equivalence suite asserts exactly this).
+// Under concurrency, packets in flight on different workers may read
+// replicas that lag each other's unpublished writes — the paper's
+// documented commutativity window; sums of deltas are nevertheless exact,
+// and the convergence audit (AuditReplicas) checks all replicas agree at
+// quiescence.
 //
-// What stays shared: nothing on the hot path. The admission gate, window,
-// stats and observation shards are the same atomics/mutexes as the lock
-// discipline (uncontended by design or sharded per switch). The control
-// plane (Snapshot, ApplyConfig, Failover, Load) always runs under the
-// gate with the engine quiescent; reconcile() drains the rings there, so
-// worker 0's replica — which doubles as plane.switches — is the canonical
-// Store every control-plane reader sees.
+// What stays shared: no state table. The worker pool with its job queue
+// and packet walk, the admission gate, window, stats and observation
+// shards are the engine's own (engine.go), identical under both
+// disciplines. The control plane (Snapshot, ApplyConfig, Failover, Load)
+// always runs under the gate with the engine quiescent; reconcile() drains
+// the rings there, so worker 0's replica — which doubles as
+// plane.switches — is the canonical Store every control-plane reader sees.
 package dataplane
 
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"snap/internal/netasm"
@@ -202,53 +201,36 @@ func (r *updateRing) pop() (state.Update, bool) {
 	return u, true
 }
 
-// scrHop is one queued visit of the per-worker packet walk.
-type scrHop struct {
-	at   topo.NodeID
-	sp   netasm.SimPacket
-	hops int
-}
-
-// scrWorker is one replication-mode worker: a full private copy of the
-// plane's switch VMs (and so of all state tables), a Lamport clock, the
-// per-packet update log, and the rings connecting it to its peers.
-type scrWorker struct {
-	id  int
-	eng *Engine
+// replica is one worker's share of a replication-mode plane: a full
+// private copy of the plane's switch VMs (and so of all state tables), a
+// Lamport clock, the per-packet update log, and the rings connecting it to
+// its peers. Only its own worker touches it while traffic runs.
+type replica struct {
+	id int
 	// switches is this worker's replica of every switch VM; worker 0's map
 	// doubles as plane.switches, the canonical copy the control plane reads.
 	switches map[topo.NodeID]*netasm.Switch
 	rep      *state.Replica
 	clock    uint64
 	log      []state.Update
-	in       chan hop
 	rings    []*updateRing // inbound, indexed by producer worker (nil self)
 	outs     []*updateRing // outbound, indexed by consumer worker (nil self)
-	peers    []*scrWorker  // all workers, for kicking a backpressured consumer
+	// kicks wake the consumer workers: a publisher that finds an outbound
+	// ring full kicks its consumer, which may be parked with no traffic of
+	// its own — without it, an idle consumer would deadlock a
+	// backpressured publisher at end of stream.
+	kicks []chan struct{}
 
-	// kick wakes this worker to drain its rings when a publisher finds one
-	// full and the worker is parked with no traffic — without it, an idle
-	// consumer would deadlock a backpressured publisher at end of stream.
-	// sync hands the worker a drain request from the control plane
-	// (reconcile), so rings only ever have one consumer goroutine.
-	kick chan struct{}
-	sync chan chan struct{}
-
-	// published counts update-log entries this worker has shipped to its
+	// published counts update-log entries this replica has shipped to its
 	// peers (each entry once, however many peers receive it); atomic so
 	// the telemetry scrape can read it against live traffic.
 	published atomic.Int64
-
-	queue   []scrHop
-	results []netasm.Result
 }
 
-// scrState is the replication-mode half of a plane: the worker set and the
-// round-robin dispatch counter.
+// scrState is the replication-mode half of a plane: one replica per
+// worker.
 type scrState struct {
-	workers []*scrWorker
-	next    atomic.Uint64
-	wg      sync.WaitGroup
+	replicas []*replica
 }
 
 // ringOccupancy sums the updates currently queued across every
@@ -260,8 +242,8 @@ func (s *scrState) ringOccupancy() int64 {
 		return 0
 	}
 	var n int64
-	for _, wk := range s.workers {
-		for _, r := range wk.rings {
+	for _, rp := range s.replicas {
+		for _, r := range rp.rings {
 			if r == nil {
 				continue
 			}
@@ -278,122 +260,69 @@ func (s *scrState) updateCounts() (published, applied int64) {
 	if s == nil {
 		return 0, 0
 	}
-	for _, wk := range s.workers {
-		published += wk.published.Load()
-		applied += wk.rep.Applied()
+	for _, r := range s.replicas {
+		published += r.published.Load()
+		applied += r.rep.Applied()
 	}
 	return published, applied
 }
 
-// buildSCR constructs the replicated worker set for a classified-safe
-// plane. Workers are not started here: apply() can still fail after
-// buildPlane, and goroutines must only exist for planes that commit.
+// buildSCR constructs the per-worker replicas for a classified-safe
+// plane, wired to the engine's workers for backpressure kicks.
 func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Linked) *scrState {
-	n := e.opts.Workers
-	s := &scrState{workers: make([]*scrWorker, n)}
+	n := len(e.workers)
+	s := &scrState{replicas: make([]*replica, n)}
+	kicks := make([]chan struct{}, n)
+	for i, w := range e.workers {
+		kicks[i] = w.kick
+	}
 	vs := cfg.VarSpace()
 	for w := 0; w < n; w++ {
-		wk := &scrWorker{
+		r := &replica{
 			id:       w,
-			eng:      e,
 			switches: make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches)),
 			rep:      state.NewReplica(vs.Len()),
-			in:       make(chan hop, e.opts.Window),
-			kick:     make(chan struct{}, 1),
-			sync:     make(chan chan struct{}),
+			rings:    make([]*updateRing, n),
+			outs:     make([]*updateRing, n),
+			kicks:    kicks,
 		}
 		for id := range cfg.Switches {
 			sw := netasm.NewLinkedSwitch(int(id), linked[id])
-			sw.OnStateOp = wk.onStateOp
-			wk.switches[id] = sw
+			sw.OnStateOp = r.onStateOp
+			r.switches[id] = sw
 		}
 		for v, owner := range cfg.Placement {
-			if tbl, ok := wk.switches[owner].TableRef(v); ok {
-				wk.rep.Bind(vs.ID(v), tbl)
+			if tbl, ok := r.switches[owner].TableRef(v); ok {
+				r.rep.Bind(vs.ID(v), tbl)
 			}
 		}
-		s.workers[w] = wk
-	}
-	for _, wk := range s.workers {
-		wk.rings = make([]*updateRing, n)
-		wk.outs = make([]*updateRing, n)
-		wk.peers = s.workers
+		s.replicas[w] = r
 	}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			r := newUpdateRing(e.opts.ReplicationRing)
-			s.workers[src].outs[dst] = r
-			s.workers[dst].rings[src] = r
+			ring := newUpdateRing(e.opts.ReplicationRing)
+			s.replicas[src].outs[dst] = ring
+			s.replicas[dst].rings[src] = ring
 		}
 	}
 	return s
 }
 
-// start spins up the worker loops. Each worker's goroutine is the SOLE
-// consumer of that worker's inbound rings — packet processing, publisher
-// kicks and control-plane drain requests all converge here, which is what
-// keeps the SPSC ring contract honest.
-func (s *scrState) start() {
-	for _, wk := range s.workers {
-		wk := wk
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for {
-				select {
-				case h, ok := <-wk.in:
-					if !ok {
-						return
-					}
-					wk.process(h)
-				case <-wk.kick:
-					wk.drain()
-				case ack := <-wk.sync:
-					wk.drain()
-					ack <- struct{}{}
-				}
-			}
-		}()
-	}
-}
-
-// stop closes the worker inboxes and waits for the loops to exit. Callers
-// hold the engine quiescent (gate paused or Close), so no sends race the
-// close.
-func (s *scrState) stop() {
-	for _, wk := range s.workers {
-		close(wk.in)
-	}
-	s.wg.Wait()
-}
-
-// dispatch hands an injection to the next worker round-robin, or runs it
-// inline with a single worker (the same rationale as injectScratch: one
-// worker gains nothing from a channel hop).
-func (s *scrState) dispatch(h hop) {
-	if len(s.workers) == 1 {
-		s.workers[0].process(h)
-		return
-	}
-	w := s.next.Add(1) - 1
-	s.workers[w%uint64(len(s.workers))].in <- h
-}
-
 // onStateOp is the VM write observer: record the operation in the
 // per-packet log. Sets advance the Lamport clock and pre-record their tag
 // locally so a remote set with a smaller tag cannot later overwrite them.
-func (wk *scrWorker) onStateOp(varID int32, act xfdd.ActKind, idx values.Vec, val values.Value) {
+func (r *replica) onStateOp(varID int32, act xfdd.ActKind, idx values.Vec, val values.Value) {
 	u := state.Update{VarID: varID, Idx: idx}
 	switch act {
 	case xfdd.ActSet:
-		wk.clock++
+		r.clock++
 		u.Act = state.UpdateSet
-		u.Tag = state.MakeTag(wk.clock, wk.id)
+		u.Tag = state.MakeTag(r.clock, r.id)
 		u.Val = val
-		wk.rep.RecordLocal(varID, state.KeyOf(idx), u.Tag)
+		r.rep.RecordLocal(varID, state.KeyOf(idx), u.Tag)
 	case xfdd.ActIncr:
 		u.Act = state.UpdateIncr
 	case xfdd.ActDecr:
@@ -401,25 +330,25 @@ func (wk *scrWorker) onStateOp(varID int32, act xfdd.ActKind, idx values.Vec, va
 	default:
 		return
 	}
-	wk.log = append(wk.log, u)
+	r.log = append(r.log, u)
 }
 
 // drain applies every queued remote update, advancing the Lamport clock
 // past the largest set-tag seen so the next local set outranks it.
-func (wk *scrWorker) drain() {
-	for _, r := range wk.rings {
-		if r == nil {
+func (r *replica) drain() {
+	for _, ring := range r.rings {
+		if ring == nil {
 			continue
 		}
 		for {
-			u, ok := r.pop()
+			u, ok := ring.pop()
 			if !ok {
 				break
 			}
-			if c := state.TagClock(u.Tag); c > wk.clock {
-				wk.clock = c
+			if c := state.TagClock(u.Tag); c > r.clock {
+				r.clock = c
 			}
-			wk.rep.Apply(u)
+			r.rep.Apply(u)
 		}
 	}
 }
@@ -429,188 +358,45 @@ func (wk *scrWorker) drain() {
 // traffic of its own) and drain our own inbound rings while spinning, so a
 // cycle of workers publishing at each other always makes progress —
 // someone's consumer pops, its publisher completes, and the cycle unwinds.
-func (wk *scrWorker) publish() {
-	if len(wk.log) == 0 {
+func (r *replica) publish() {
+	if len(r.log) == 0 {
 		return
 	}
-	for dst, r := range wk.outs {
-		if r == nil {
+	for dst, ring := range r.outs {
+		if ring == nil {
 			continue
 		}
-		for _, u := range wk.log {
-			for !r.push(u) {
+		for _, u := range r.log {
+			for !ring.push(u) {
 				select {
-				case wk.peers[dst].kick <- struct{}{}:
+				case r.kicks[dst] <- struct{}{}:
 				default:
 				}
-				wk.drain()
+				r.drain()
 				runtime.Gosched()
 			}
 		}
 	}
-	wk.published.Add(int64(len(wk.log)))
-	wk.log = wk.log[:0]
+	r.published.Add(int64(len(r.log)))
+	r.log = r.log[:0]
 }
 
-// process runs one injection to completion on this worker: converge the
-// replica, walk the packet, publish the log, release the injection. The
-// publish-before-release order is what makes single-packet replay
-// lockstep-identical to the sequential plane.
-//
-// The deferred guard is the SCR worker's last-resort containment: VM
-// panics are already converted inside the walk (runContained), so a panic
-// unwinding to here is a bug in the walk/merge machinery itself — poison
-// the engine with the stack and release the injection so no caller hangs.
-func (wk *scrWorker) process(h hop) {
-	defer wk.guard(h.it.inj)
-	wk.drain()
-	wk.walk(h.to, h.it)
-	wk.publish()
-	h.it.inj.release(1)
-}
-
-func (wk *scrWorker) guard(inj *injection) {
-	if v := recover(); v != nil {
-		wk.eng.fail(fmt.Errorf("dataplane: panic on SCR worker %d: %v\n%s", wk.id, v, debug.Stack()))
-		inj.release(1)
-	}
-}
-
-// walk runs one injected packet and all its copies to quiescence against
-// this worker's private switch replicas — the engine-accounted version of
-// Network.Inject's BFS. No locks, no worker tokens, no channel hops:
-// multicast extras join the same worker-local queue, preserving the
-// run-to-completion model per injection.
-func (wk *scrWorker) walk(at topo.NodeID, it item) {
-	e := wk.eng
-	pl := e.plane.Load()
-	q := append(wk.queue[:0], scrHop{at: at, sp: it.sp, hops: it.hops})
-	defer func() { wk.queue = q[:0] }()
-	for qi := 0; qi < len(q); qi++ {
-		if e.failed.Load() {
-			return
-		}
-		cur := q[qi]
-		if e.down[cur.at].Load() {
-			e.stats.dropped.Add(1)
-			e.observeDrop(cur.at, cur.sp.Hdr.OBSIn, cur.sp.Hdr.OBSOut)
-			traceHop(it.inj.tr, cur.at, "drop", "", -1)
-			continue
-		}
-		if e.quarantined(cur.at) {
-			// Panic quarantine (containment.go): the switch's program is
-			// poisoned on some replica, so every replica stops serving it
-			// until a reconfiguration replaces the VMs.
-			e.dropQuarantined(cur.at, it.inj.tr, cur.sp.Hdr.OBSIn, cur.sp.Hdr.OBSOut)
-			continue
-		}
-		if cur.hops > e.opts.MaxHops {
-			e.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", cur.at))
-			return
-		}
-		sw := wk.switches[cur.at]
-		results, err := runContained(sw, cur.at, "engine.walk", wk.results[:0], cur.sp)
-		wk.results = results
-		e.load[cur.at].processed.Add(1)
-		if err != nil {
-			if e.containVMError(cur.at, err) {
-				e.dropQuarantined(cur.at, it.inj.tr, cur.sp.Hdr.OBSIn, cur.sp.Hdr.OBSOut)
-				continue
-			}
-			e.fail(err)
-			return
-		}
-		for _, r := range results {
-			switch r.Outcome {
-			case netasm.Dropped:
-				e.stats.dropped.Add(1)
-				e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, -1)
-				traceHop(it.inj.tr, cur.at, "drop", "", -1)
-
-			case netasm.Delivered:
-				e.stats.delivered.Add(1)
-				e.observe(cur.at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-				it.inj.deliver(Delivery{Port: r.Packet.Hdr.OBSOut, Packet: r.Packet.Pkt})
-				traceHop(it.inj.tr, cur.at, "deliver", "", r.Packet.Hdr.OBSOut)
-
-			case netasm.NeedState:
-				e.stats.suspends.Add(1)
-				e.load[cur.at].suspends.Add(1)
-				target, ok := pl.stateTarget(r)
-				if !ok {
-					e.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", cur.at))
-					continue
-				}
-				if target == cur.at {
-					e.fail(fmt.Errorf("dataplane: suspended for local state at switch %d", cur.at))
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, cur.at, r.Packet, target)
-				if err != nil {
-					e.fail(err)
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, cur.at, "drop", r.StateVar, -1)
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[cur.at].forwarded.Add(1)
-				traceHop(it.inj.tr, cur.at, "suspend", r.StateVar, -1)
-				q = append(q, scrHop{at: next, sp: r.Packet, hops: cur.hops + 1})
-
-			case netasm.ToEgress:
-				eg, ok := pl.cfg.Topo.PortByID(r.Packet.Hdr.OBSOut)
-				if !ok {
-					e.stats.dropped.Add(1)
-					e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, -1)
-					traceHop(it.inj.tr, cur.at, "drop", "", -1)
-					continue
-				}
-				if eg.Switch == cur.at {
-					e.stats.delivered.Add(1)
-					e.observe(cur.at, r.Packet.Hdr.OBSIn, eg.ID)
-					it.inj.deliver(Delivery{Port: eg.ID, Packet: r.Packet.Pkt})
-					traceHop(it.inj.tr, cur.at, "deliver", "", eg.ID)
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, cur.at, r.Packet, eg.Switch)
-				if err != nil {
-					e.fail(err)
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, cur.at, "drop", "", r.Packet.Hdr.OBSOut)
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[cur.at].forwarded.Add(1)
-				traceHop(it.inj.tr, cur.at, "forward", "", r.Packet.Hdr.OBSOut)
-				q = append(q, scrHop{at: next, sp: r.Packet, hops: cur.hops + 1})
-			}
-		}
-	}
-}
-
-// reconcile converges every worker replica by asking each worker goroutine
+// reconcile converges every worker replica by asking each pool goroutine
 // to drain its own rings (keeping the rings single-consumer) and waiting
 // for the acknowledgement. Callers hold the engine quiescent (the gate is
-// paused), so all logs are fully published, the workers are parked and
+// paused), so all logs are fully published, the workers are idle and
 // service the request immediately, and one pass converges every replica —
 // in particular worker 0's, which the control-plane readers treat as the
 // canonical state. The ack channel also orders the workers' table writes
-// before the caller's reads.
+// before the caller's reads. A single-worker engine has no rings and no
+// pool goroutine, so there is nothing to converge.
 func (e *Engine) reconcile(pl *plane) {
-	if pl == nil || pl.scr == nil {
+	if pl.scr == nil || e.jobs == nil {
 		return
 	}
-	for _, wk := range pl.scr.workers {
+	for _, w := range e.workers {
 		ack := make(chan struct{})
-		wk.sync <- ack
+		w.sync <- ack
 		<-ack
 	}
 }
@@ -623,17 +409,17 @@ func (s *scrState) audit(cfg *rules.Config) error {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
-	w0 := s.workers[0]
-	for _, wk := range s.workers[1:] {
+	r0 := s.replicas[0]
+	for _, r := range s.replicas[1:] {
 		for _, v := range vars {
 			owner := cfg.Placement[v]
-			a, okA := w0.switches[owner].TableRef(v)
-			b, okB := wk.switches[owner].TableRef(v)
+			a, okA := r0.switches[owner].TableRef(v)
+			b, okB := r.switches[owner].TableRef(v)
 			if !okA || !okB {
 				continue
 			}
 			if !a.Equal(b) {
-				return fmt.Errorf("dataplane: replica divergence on %s: worker %d disagrees with worker 0", v, wk.id)
+				return fmt.Errorf("dataplane: replica divergence on %s: worker %d disagrees with worker 0", v, r.id)
 			}
 		}
 	}

@@ -1,22 +1,21 @@
 // Replication-discipline equivalence suite: the state-compute replication
-// engine mode (scr.go) against the formal semantics evaluator and the
-// sequential Network, mirroring linked_equiv_test.go.
+// engine mode (scr.go) against the formal semantics evaluator, mirroring
+// linked_equiv_test.go.
 //
 // Two claims are asserted, matching the discipline's contract:
 //
 //   - lockstep exactness at batch size 1: a worker publishes its packet's
 //     update log before the injection is released and every worker drains
 //     before walking, so one-packet-at-a-time replay is identical to the
-//     sequential plane — deliveries AND state — at any worker count;
+//     semantics — deliveries AND state — at any worker count;
 //   - convergence under concurrency: with many packets in flight on
 //     different workers (including forced ring backpressure), all worker
 //     replicas must be equal once the logs drain (AuditReplicas), and for
-//     commutative policies the final state must equal the sequential
-//     reference exactly.
+//     commutative policies the final state must equal the semantics'
+//     sequential reference exactly.
 package dataplane_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -34,13 +33,10 @@ import (
 // newReplicatedEngine builds an engine requesting the replication
 // discipline; ok is false (with the fallback reasons) when the plane
 // classified replication-unsafe and fell back to locks.
-func newReplicatedEngine(t *testing.T, policy syntax.Policy, workers, ring int) (*dataplane.Engine, *dataplane.Network, bool) {
+func newReplicatedEngine(t *testing.T, policy syntax.Policy, workers, ring int) (*dataplane.Engine, bool) {
 	t.Helper()
-	netw := topo.Campus(1000)
-	plane, _ := deploy(t, policy, netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
+	eng := dataplane.NewEngine(deploy(t, policy, topo.Campus(1000), nil), dataplane.Options{
 		Workers:          workers,
-		SwitchWorkers:    1,
 		Window:           16,
 		StateReplication: true,
 		ReplicationRing:  ring,
@@ -49,9 +45,9 @@ func newReplicatedEngine(t *testing.T, policy syntax.Policy, workers, ring int) 
 		reasons := eng.ReplicationFallback()
 		eng.Close()
 		t.Logf("replication refused: %v", reasons)
-		return nil, plane, false
+		return nil, false
 	}
-	return eng, plane, true
+	return eng, true
 }
 
 // checkReplicatedEquivalence verifies lockstep exactness at batch size 1:
@@ -61,7 +57,7 @@ func newReplicatedEngine(t *testing.T, policy syntax.Policy, workers, ring int) 
 // consecutive packet pair).
 func checkReplicatedEquivalence(t *testing.T, policy syntax.Policy, packets int, seed int64, workers int) bool {
 	t.Helper()
-	eng, _, ok := newReplicatedEngine(t, policy, workers, 0)
+	eng, ok := newReplicatedEngine(t, policy, workers, 0)
 	if !ok {
 		return false
 	}
@@ -71,41 +67,9 @@ func checkReplicatedEquivalence(t *testing.T, policy syntax.Policy, packets int,
 	ref := state.NewStore()
 	for i := 0; i < packets; i++ {
 		port, p := richPacket(rng)
-
-		res, err := semantics.Eval(policy, ref, p)
-		if err != nil {
-			var ce *semantics.ConflictError
-			if errors.As(err, &ce) {
-				t.Skipf("packet %d: dynamic state conflict, reference undefined: %v", i, err)
-			}
-			t.Fatalf("packet %d: semantics eval: %v", i, err)
-		}
-		ref = res.Store
-		want := map[string]bool{}
-		for _, wp := range res.Packets {
-			out := wp.Field(pkt.Outport)
-			if out.Kind != values.KindInt {
-				continue
-			}
-			if _, ok := eng.Config().Topo.PortByID(int(out.Num)); !ok {
-				continue
-			}
-			want[fmt.Sprintf("%d|%s", out.Num, wp.Key())] = true
-		}
-
-		got, err := eng.InjectBatch([]dataplane.Ingress{{Port: port, Packet: p}})
-		if err != nil {
-			t.Fatalf("packet %d: engine inject: %v", i, err)
-		}
-		if len(got[0]) != len(want) {
-			t.Fatalf("packet %d (%v): replicated engine delivered %d, semantics says %d (%v vs %v)",
-				i, p, len(got[0]), len(want), got[0], want)
-		}
-		for _, d := range got[0] {
-			if !want[deliveryKey(d)] {
-				t.Fatalf("packet %d: delivery %s not in semantics output %v", i, deliveryKey(d), want)
-			}
-		}
+		want, next := specStep(t, policy, ref, p, eng.Config().Topo)
+		ref = next
+		checkDeliveries(t, fmt.Sprintf("packet %d (%v): replicated engine", i, p), injectOne(t, eng, port, p), want)
 		if !eng.GlobalState().Equal(ref) {
 			t.Fatalf("packet %d: replicated state diverges\nengine:\n%s\nref:\n%s", i, eng.GlobalState(), ref)
 		}
@@ -266,7 +230,7 @@ func TestReplicatedPlaneFuzzEquivalence(t *testing.T) {
 // deliberately tiny update ring (capacity 4), forcing publish backpressure
 // and the drain-while-spinning path. After quiescence every worker replica
 // must audit equal; for the delta-only monitor the global state must
-// additionally equal the sequential Network reference exactly — delta
+// additionally equal the semantics' sequential reference exactly — delta
 // merges are commutative, so concurrency must not change the sums.
 func TestReplicatedConvergenceUnderLoad(t *testing.T) {
 	packets := 600
@@ -284,7 +248,7 @@ func TestReplicatedConvergenceUnderLoad(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			policy, workers := policy, workers
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				eng, plane, ok := newReplicatedEngine(t, policy, workers, 4)
+				eng, ok := newReplicatedEngine(t, policy, workers, 4)
 				if !ok {
 					t.Fatalf("policy classified replication-unsafe")
 				}
@@ -310,14 +274,10 @@ func TestReplicatedConvergenceUnderLoad(t *testing.T) {
 					t.Fatalf("replication mode took %d lock suspensions", st.LockSuspends)
 				}
 				if exactState {
-					for _, ing := range trace {
-						if _, err := plane.Inject(ing.Port, ing.Packet); err != nil {
-							t.Fatalf("reference inject: %v", err)
-						}
-					}
-					if !eng.GlobalState().Equal(plane.GlobalState()) {
+					ref := specRun(t, policy, trace)
+					if !eng.GlobalState().Equal(ref) {
 						t.Fatalf("delta-only state diverged from sequential reference\nengine:\n%s\nref:\n%s",
-							eng.GlobalState(), plane.GlobalState())
+							eng.GlobalState(), ref)
 					}
 				}
 			})
@@ -328,10 +288,11 @@ func TestReplicatedConvergenceUnderLoad(t *testing.T) {
 // TestReplicatedReconfigure drives an epoch swap on a live replicated
 // engine: replay, ApplyConfig of the same configuration (state must
 // migrate through the canonical store and re-seed every worker replica),
-// replay again, and compare against an uninterrupted sequential reference.
+// replay again, and compare against the semantics' uninterrupted
+// sequential reference.
 func TestReplicatedReconfigure(t *testing.T) {
 	policy := campusWorkload(apps.Monitor())
-	eng, plane, ok := newReplicatedEngine(t, policy, 4, 0)
+	eng, ok := newReplicatedEngine(t, policy, 4, 0)
 	if !ok {
 		t.Fatalf("monitor must classify replication-safe")
 	}
@@ -362,13 +323,23 @@ func TestReplicatedReconfigure(t *testing.T) {
 	if err := eng.AuditReplicas(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ing := range trace {
-		if _, err := plane.Inject(ing.Port, ing.Packet); err != nil {
-			t.Fatalf("reference inject: %v", err)
-		}
-	}
-	if !eng.GlobalState().Equal(plane.GlobalState()) {
+	if ref := specRun(t, policy, trace); !eng.GlobalState().Equal(ref) {
 		t.Fatalf("state after epoch swap diverged\nengine:\n%s\nref:\n%s",
-			eng.GlobalState(), plane.GlobalState())
+			eng.GlobalState(), ref)
 	}
+}
+
+// specRun evaluates a trace in order under the semantics, returning the
+// final store.
+func specRun(t *testing.T, policy syntax.Policy, trace []dataplane.Ingress) *state.Store {
+	t.Helper()
+	ref := state.NewStore()
+	for i, ing := range trace {
+		res, err := semantics.Eval(policy, ref, ing.Packet)
+		if err != nil {
+			t.Fatalf("reference eval %d: %v", i, err)
+		}
+		ref = res.Store
+	}
+	return ref
 }

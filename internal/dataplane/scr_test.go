@@ -27,16 +27,16 @@ func TestReplicationFallbackMixedActs(t *testing.T) {
 		syntax.IncrState("v", syntax.F(pkt.DstIP)),
 		apps.Monitor(),
 	))
-	eng, _, ok := newReplicatedEngine(t, policy, 2, 64)
+	eng, ok := newReplicatedEngine(t, policy, 2, 64)
 	if ok {
 		eng.Close()
 		t.Fatal("mixed set/incr policy was classified replication-safe")
 	}
 	// newReplicatedEngine closed the refused engine; rebuild to inspect.
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, policy, netw, nil)
-	eng2 := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 2, SwitchWorkers: 1, StateReplication: true,
+	cfg := deploy(t, policy, netw, nil)
+	eng2 := dataplane.NewEngine(cfg, dataplane.Options{
+		Workers: 2, StateReplication: true,
 	})
 	defer eng2.Close()
 	if eng2.ExecMode() != dataplane.ModeLocks {
@@ -95,9 +95,9 @@ func TestWideIndexDiagnostic(t *testing.T) {
 		apps.Monitor(),
 	))
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, policy, netw, nil)
+	cfg := deploy(t, policy, netw, nil)
 
-	diags := dataplane.LinkDiagnostics(plane.Config())
+	diags := dataplane.LinkDiagnostics(cfg)
 	seen := map[string]bool{}
 	for _, d := range diags {
 		if !strings.Contains(d, "interpreter slow path") {
@@ -115,8 +115,8 @@ func TestWideIndexDiagnostic(t *testing.T) {
 		t.Fatalf("no wide-index diagnostic in %v", diags)
 	}
 
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 2, SwitchWorkers: 1, StateReplication: true,
+	eng := dataplane.NewEngine(cfg, dataplane.Options{
+		Workers: 2, StateReplication: true,
 	})
 	defer eng.Close()
 	if eng.ExecMode() != dataplane.ModeLocks {
@@ -135,8 +135,8 @@ func TestWideIndexDiagnostic(t *testing.T) {
 // across an ApplyConfig.
 func TestLockContentionCounters(t *testing.T) {
 	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 32})
+	cfg := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 4, Window: 32})
 	defer eng.Close()
 	if eng.ExecMode() != dataplane.ModeLocks {
 		t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
@@ -169,7 +169,7 @@ func TestLockContentionCounters(t *testing.T) {
 		t.Fatalf("per-variable suspends %d exceed engine total %d", total, st.LockSuspends)
 	}
 	// Reconfigure to the same config: history must fold, not reset.
-	if err := eng.ApplyConfig(plane.Config(), nil); err != nil {
+	if err := eng.ApplyConfig(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := eng.LockContention()

@@ -2,11 +2,10 @@ package dataplane
 
 import "sync/atomic"
 
-// Stats is a point-in-time snapshot of data-plane activity. Both the
-// sequential Network and the concurrent Engine maintain these counters
-// atomically, so a snapshot taken while traffic is in flight is internally
-// consistent per counter (though counters may be mid-update relative to
-// each other).
+// Stats is a point-in-time snapshot of data-plane activity. The Engine
+// maintains these counters atomically, so a snapshot taken while traffic
+// is in flight is internally consistent per counter (though counters may
+// be mid-update relative to each other).
 type Stats struct {
 	Injected  int64 // packets entered at OBS ingress ports
 	Delivered int64 // copies that exited at an OBS egress port

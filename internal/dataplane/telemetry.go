@@ -4,7 +4,7 @@
 // the packet loop nothing — the hot path keeps bumping the same atomics
 // it always did, and aggregation happens only when something scrapes
 // /metrics or takes a JSON snapshot. The only live instruments are the
-// per-variable lock-wait histograms (fed from step's already-slow
+// per-variable lock-wait histograms (fed from a visit's already-slow
 // contended path) and the link-duration histogram (control plane only).
 package dataplane
 
@@ -34,8 +34,8 @@ func traceHop(tr *telemetry.PacketTrace, at topo.NodeID, outcome, stateVar strin
 }
 
 // registerMetrics wires the engine's existing atomics into scrape-time
-// collectors. Called once at the end of NewEngine, after the load and
-// inbox maps are final (the collectors iterate them lock-free).
+// collectors. Called once at the end of NewEngine, after the load map is
+// final (the collectors iterate it lock-free).
 func (e *Engine) registerMetrics() {
 	r := e.tel
 

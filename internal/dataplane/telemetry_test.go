@@ -18,7 +18,7 @@ import (
 // gauges — without any instrumentation calls from the test.
 func TestEngineTelemetrySeries(t *testing.T) {
 	comp, _, tm := compileCampus(t, 2)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 	if err := eng.InjectReplay(trace(tm, 2000, 3)); err != nil {
 		t.Fatal(err)
@@ -103,10 +103,11 @@ func TestEngineTraceSampling(t *testing.T) {
 	}
 }
 
-// TestEngineCloseNoGoroutineLeak: every engine lifecycle — locks,
+// TestEngineCloseNoGoroutineLeak: a single-worker unreplicated engine
+// starts no goroutine at all, and every engine lifecycle — locks,
 // state-compute replication, mirror replication, and a mid-life failover —
-// winds all its goroutines (switch pools, SCR appliers, the mirror
-// drainer) down on Close, and Close is idempotent.
+// winds all its goroutines (the worker pool, the mirror drainer) down on
+// Close, and Close is idempotent.
 func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 	settle := func() int {
 		n := runtime.NumGoroutine()
@@ -121,6 +122,22 @@ func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 		return n
 	}
 	base := settle()
+
+	// One worker, no mirror replicas: the caller is the worker.
+	{
+		comp, _, tm := compileCampus(t, 1)
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1})
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("single-worker NewEngine started goroutines: %d before, %d after", base, n)
+		}
+		if err := eng.InjectReplay(trace(tm, 500, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("single-worker replay left goroutines: %d before, %d after", base, n)
+		}
+		eng.Close()
+	}
 
 	// Locks discipline.
 	{
@@ -188,29 +205,49 @@ func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 
 // TestEngineInjectSteadyStateAllocs: with telemetry registered and
 // sampling off (the defaults), the warmed packet loop must not allocate
-// per packet — the registry reads the hot path's atomics at scrape time
-// instead of interposing on it. The budget below covers only per-call
-// bookkeeping (the stream closure, scratch, wait group); one allocation
-// per packet would cost ≥200 and trip it.
+// per packet under either discipline, whether the caller runs the walk
+// (one worker) or hands it to the pool — the registry reads the hot
+// path's atomics at scrape time instead of interposing on it, and an
+// injection handed to the pool travels by value. The budget below covers
+// only per-call bookkeeping (the stream closure, wait group); one
+// allocation per packet would cost ≥200 and trip it.
 func TestEngineInjectSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise clean paths")
 	}
-	comp, _, tm := compileCampus(t, 1)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, SwitchWorkers: 2, Window: 256})
-	defer eng.Close()
-	tr := trace(tm, 200, 9)
-	for i := 0; i < 5; i++ { // insert every state key, size every pool
-		if err := eng.InjectReplay(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := eng.InjectReplay(tr); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 50 {
-		t.Fatalf("steady-state replay of %d packets costs %.0f allocs/run, want per-call bookkeeping only (≤50)", len(tr), allocs)
+	for _, tc := range []struct {
+		mode    dataplane.ExecMode
+		workers int
+	}{
+		{dataplane.ModeLocks, 1},
+		{dataplane.ModeLocks, 2},
+		{dataplane.ModeReplication, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/workers=%d", tc.mode, tc.workers), func(t *testing.T) {
+			comp, _, tm := compileCampus(t, 1)
+			eng := dataplane.NewEngine(comp.Config, dataplane.Options{
+				Workers:          tc.workers,
+				Window:           256,
+				StateReplication: tc.mode == dataplane.ModeReplication,
+			})
+			defer eng.Close()
+			if eng.ExecMode() != tc.mode {
+				t.Fatalf("exec mode = %v, want %v", eng.ExecMode(), tc.mode)
+			}
+			tr := trace(tm, 200, 9)
+			for i := 0; i < 5; i++ { // insert every state key, size every pool
+				if err := eng.InjectReplay(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := eng.InjectReplay(tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 50 {
+				t.Fatalf("steady-state replay of %d packets costs %.0f allocs/run, want per-call bookkeeping only (≤50)", len(tr), allocs)
+			}
+		})
 	}
 }

@@ -19,9 +19,10 @@
 // the evaluator (internal/semantics), topology and traffic generators, and
 // the full compiler pipeline (dependency analysis → xFDD → packet-state
 // mapping → placement/routing optimization → per-switch NetASM rules),
-// plus two data-plane runtimes executing compiled deployments: the
-// sequential Network (Deployment.Inject) and the concurrent batched
-// Engine (Deployment.Engine).
+// plus the data-plane runtime executing compiled deployments: Engine, a
+// worker pool running each packet to completion, which Deployment.Inject
+// drives on the caller's goroutine and Deployment.Engine serves batched
+// and streamed traffic with.
 //
 // docs/ARCHITECTURE.md documents every internal package with its paper
 // cross-reference and invariants; README.md has the quickstart and the

@@ -3,6 +3,7 @@
 package snap_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -302,5 +303,56 @@ func TestFaultToleranceAPI(t *testing.T) {
 	}
 	if _, ok := rep.Promoted["count"]; !ok {
 		t.Fatalf("count not promoted: %+v", rep.Promoted)
+	}
+}
+
+// TestDeploymentLifecycleNoGoroutineLeak: a Deployment's own data plane is
+// a single-worker engine that never mirrors writes, so compile-side
+// lifecycles — Compile, Inject, Recompile, Reroute, Failover, with and
+// without replication — start no goroutine and need no Close.
+func TestDeploymentLifecycleNoGoroutineLeak(t *testing.T) {
+	network := snap.Campus(1000)
+	tm := snap.Gravity(network, 100, 1)
+	tm2 := snap.Gravity(network, 100, 2)
+	program := snap.Then(snap.Assumption(6), snap.Then(snap.Monitor(), snap.AssignEgress(6)))
+	edited := snap.Then(snap.Assumption(6), snap.Then(snap.Par(snap.Monitor(), snap.DNSTunnelDetect()), snap.AssignEgress(6)))
+	p := snap.NewPacket(map[snap.Field]snap.Value{
+		snap.Inport: snap.Int(1),
+		snap.SrcIP:  snap.IPv4(10, 0, 1, 1),
+		snap.DstIP:  snap.IPv4(10, 0, 6, 1),
+	})
+	base := runtime.NumGoroutine()
+	for _, opts := range [][]snap.CompileOption{nil, {snap.WithReplication(2)}} {
+		for round := 0; round < 50; round++ {
+			dep, err := snap.Compile(program, network, tm, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inject := func(d *snap.Deployment) {
+				t.Helper()
+				if out, err := d.Inject(1, p); err != nil || len(out) != 1 {
+					t.Fatalf("round %d: inject = %v, %v", round, out, err)
+				}
+			}
+			inject(dep)
+			if dep, err = dep.Recompile(edited); err != nil {
+				t.Fatal(err)
+			}
+			inject(dep)
+			if dep, err = dep.Reroute(tm2); err != nil {
+				t.Fatal(err)
+			}
+			inject(dep)
+			owner := dep.Placement()["count"]
+			if dep, err = dep.Failover(snap.SwitchFailure(owner)); err != nil {
+				t.Fatal(err)
+			}
+			inject(dep)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("deployment lifecycles leaked goroutines: %d before, %d after\n%s",
+			base, n, buf[:runtime.Stack(buf, true)])
 	}
 }
