@@ -131,10 +131,8 @@ func (e *Engine) QuarantinedSwitches() []topo.NodeID {
 
 // dropQuarantined accounts one copy discarded at a quarantined switch.
 func (e *Engine) dropQuarantined(at topo.NodeID, tr *telemetry.PacketTrace, in, out int) {
-	e.stats.dropped.Add(1)
 	e.stats.quarantineDrops.Add(1)
-	e.observeDrop(at, in, out)
-	traceHop(tr, at, "drop", "", -1)
+	e.drop(at, tr, in, out)
 }
 
 // rollback accounts a failed reconfiguration at its single exit: the old
