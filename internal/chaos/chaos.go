@@ -66,10 +66,11 @@ type Options struct {
 	// GOMAXPROCS).
 	Workers int
 	// Replication requests the state-compute replication discipline; the
-	// engine may fall back to locks (Report.Fallback says why).
+	// engine may fall back to locks (Report.Fallback says why). It
+	// composes with Replicas: the backups consume the workers' update log.
 	Replication bool
 	// Replicas is the mirror-replication factor K for fault tolerance
-	// (default 1 = unreplicated).
+	// (default 1 = unreplicated), under either discipline.
 	Replicas int
 	// Probes is the number of lockstep oracle probes per tracked
 	// boundary; default 3.

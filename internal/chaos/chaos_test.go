@@ -75,15 +75,14 @@ func TestChaosMatrix(t *testing.T) {
 						t.Errorf("oracle idle: probes=%d state audits=%d", rep.OracleProbes, rep.OracleStateAudits)
 					}
 
-					// Requesting SCR with K>=2 mirrors must fall back to
-					// locks — mirrors and SCR are mutually exclusive by
-					// design — and the report must say why.
+					// Requesting SCR runs it, with or without K>=2 mirrors:
+					// the backups consume the workers' update log.
 					if replication && k == 1 && rep.Discipline != "replication" {
 						t.Errorf("discipline %q, want replication (fallback: %v)", rep.Discipline, rep.Fallback)
 					}
 					if replication && k > 1 {
-						if rep.Discipline != "locks" || len(rep.Fallback) == 0 {
-							t.Errorf("SCR+mirrors should fall back to locks with a reason; got %q %v", rep.Discipline, rep.Fallback)
+						if rep.Discipline != "replication" || len(rep.Fallback) != 0 {
+							t.Errorf("SCR+mirrors should run replication with no fallback; got %q %v", rep.Discipline, rep.Fallback)
 						}
 					}
 					// With K=2 every orphaned entry must come back from a

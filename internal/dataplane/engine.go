@@ -83,18 +83,13 @@ type Options struct {
 	MaxHops int
 	// Stripes is the striped-lock pool size. 0 → state.DefaultStripes.
 	Stripes int
-	// ManualReplication disables the background mirror-drain goroutine:
-	// state writes queue until FlushReplication (or a reconfiguration)
-	// pumps them. It makes replica lag deterministic and exists for tests
-	// of the bounded-loss accounting; leave false in production.
-	ManualReplication bool
 	// StateReplication requests the state-compute replication discipline
 	// (scr.go): per-worker state replicas and update-log merge instead of
 	// striped locks. The request is honored per plane, at link time — a
 	// plane that classifies replication-unsafe (wide-index writes, mixed
-	// set/delta variables, mirror replicas in the configuration) falls
-	// back to locks, with the reasons available from
-	// Engine.ReplicationFallback.
+	// set/delta variables) falls back to locks, with the reasons available
+	// from Engine.ReplicationFallback. Mirror replicas in the configuration
+	// run under either discipline: both feed them the same update log.
 	StateReplication bool
 	// ReplicationRing overrides the capacity of each worker-pair update
 	// ring (0 → 1024). Small values force publish backpressure and exist
@@ -728,9 +723,9 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 		}
 	}
 	if e.opts.StateReplication {
-		if reasons := replicationBlockers(cfg, linked, e.opts.Workers); len(reasons) == 0 {
+		if reasons := replicationBlockers(linked, e.opts.Workers); len(reasons) == 0 {
 			p.mode = ModeReplication
-			p.scr = e.buildSCR(cfg, linked)
+			p.scr = e.buildSCR(cfg, linked, rep)
 			// Worker 0's replica doubles as the canonical switch set the
 			// control plane reads (always through reconcile, under the gate).
 			p.switches = p.scr.replicas[0].switches
@@ -747,10 +742,10 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	p.lockWait = make([]atomic.Int64, vs.Len())
 	p.lockHist = make([]*telemetry.Histogram, vs.Len())
 	p.lockVars = make(map[topo.NodeID][]int32, len(cfg.Switches))
-	for id, sc := range cfg.Switches {
+	for id := range cfg.Switches {
 		sw := netasm.NewLinkedSwitch(int(id), linked[id])
-		if hook := rep.hookFor(id, sc.Owns); hook != nil {
-			sw.OnStateWrite = hook
+		if rep != nil && rep.pending[id] != nil { // primary of a replicated variable
+			sw.OnStateOp = func(u state.Update) { rep.enqueue(u, true) }
 		}
 		p.switches[id] = sw
 		p.locks[id] = e.stripes.LockSet(sw.LockVars())
@@ -1009,7 +1004,7 @@ type recovery struct {
 // serving on the unchanged epoch with all state intact, the rollback
 // counter bumps, and the error returns for the controller's retry
 // discipline. In degraded mode, state owned by down switches is recovered
-// from replica stores (promotion) or reported lost; otherwise an
+// from backup tables (promotion) or reported lost; otherwise an
 // entry-holding variable without a new owner is an error.
 func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, rec *recovery) (*FailoverStats, error) {
 	began := time.Now()
@@ -1021,8 +1016,8 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	if e.failed.Load() {
 		return nil, fmt.Errorf("dataplane: cannot reconfigure a poisoned engine: %w", e.err)
 	}
-	// Mirror writes still queued at alive primaries reach the replica
-	// stores before any of them is read or discarded.
+	// Mirror records still queued at alive primaries reach the backup
+	// tables before any of them is read or discarded.
 	e.replicator().flush()
 
 	fs := &FailoverStats{Promoted: map[string]topo.NodeID{}}
@@ -1129,11 +1124,10 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *st
 		return nil, nil, fmt.Errorf("dataplane: link: %w", err)
 	}
 	// Build the new configuration's replicator and hook the new switch VMs
-	// into it; seed the new replica stores from the recovered global state
-	// so backups are warm from the first post-swap packet. The engine's
-	// live replicator is only swapped at the caller's commit point.
+	// into it; seed the new backup tables from the re-seated primaries so
+	// backups are warm from the first post-swap packet. The engine's live
+	// replicator is only swapped at the caller's commit point.
 	newRep = newReplicator(e, cfg)
-	newRep.seed(global)
 	next = e.buildPlane(cfg, newRep)
 	if err := faultpoint.Hit(faultpoint.EngineApplyReseed); err != nil {
 		return nil, nil, fmt.Errorf("dataplane: state reseat: %w", err)
@@ -1141,6 +1135,7 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *st
 	for _, v := range global.Vars() {
 		next.seedVar(global, v, cfg.Placement[v])
 	}
+	newRep.seed(next)
 	return next, newRep, nil
 }
 
@@ -1170,9 +1165,9 @@ func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, global *state.Sto
 		if !e.down[owner].Load() {
 			continue
 		}
-		if rst := e.replicator().aliveReplica(v); rst != nil {
-			global.CopyVar(rst, v)
-			fs.Recovered += len(rst.Entries(v))
+		if tbl := e.replicator().aliveReplica(v); tbl != nil {
+			tbl.AddToStore(global, v)
+			fs.Recovered += tbl.Len()
 			if newOwner, ok := cfg.Placement[v]; ok {
 				fs.Promoted[v] = newOwner
 			}

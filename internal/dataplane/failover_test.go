@@ -7,6 +7,7 @@ import (
 	"snap/internal/apps"
 	"snap/internal/core"
 	"snap/internal/dataplane"
+	"snap/internal/faultpoint"
 	"snap/internal/pkt"
 	"snap/internal/place"
 	"snap/internal/syntax"
@@ -19,9 +20,15 @@ import (
 // replication factor.
 func compileCampus(t *testing.T, replicas int) (*core.Compilation, *topo.Topology, traffic.Matrix) {
 	t.Helper()
+	return compileCampusPolicy(t, campusWorkload(apps.Monitor()), replicas)
+}
+
+// compileCampusPolicy cold-starts a policy on the campus with the given
+// replication factor.
+func compileCampusPolicy(t *testing.T, policy syntax.Policy, replicas int) (*core.Compilation, *topo.Topology, traffic.Matrix) {
+	t.Helper()
 	tp := topo.Campus(1000)
 	tm := traffic.Gravity(tp, 100, 1)
-	policy := campusWorkload(apps.Monitor())
 	comp, err := core.ColdStart(policy, tp, tm, place.Options{Method: place.Heuristic, Replicas: replicas})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +59,7 @@ func trace(tm traffic.Matrix, n int, seed int64) []dataplane.Ingress {
 }
 
 // TestEngineReplicationMirrorsWrites: under K=2 every write the primary
-// performs reaches the first backup's replica store; once flushed, the
+// performs reaches the first backup's tables; once flushed, the
 // replica table equals the primary's and the lag is zero.
 func TestEngineReplicationMirrorsWrites(t *testing.T) {
 	comp, _, tm := compileCampus(t, 2)
@@ -293,7 +300,8 @@ func TestEngineFailoverPromotesReplicas(t *testing.T) {
 
 // TestEngineFailoverBoundedLoss quantifies the two loss sources. Without
 // replication the orphan's entries are all lost; with replication but lag
-// (manual pump, never flushed) exactly the queued writes are reported.
+// (every drain failed by the replicator.drain fault point) exactly the
+// queued writes are reported.
 func TestEngineFailoverBoundedLoss(t *testing.T) {
 	t.Run("unreplicated", func(t *testing.T) {
 		comp, tp, tm := compileCampus(t, 0)
@@ -331,9 +339,11 @@ func TestEngineFailoverBoundedLoss(t *testing.T) {
 	})
 
 	t.Run("replica-lag", func(t *testing.T) {
+		t.Cleanup(faultpoint.Reset)
+		faultpoint.Enable(faultpoint.ReplicatorDrain, faultpoint.Plan{Kind: faultpoint.KindError, Times: -1})
 		comp, tp, tm := compileCampus(t, 2)
 		owner := comp.Config.Placement["count"]
-		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, ManualReplication: true})
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 		defer eng.Close()
 		tr := trace(tm, 500, 17)
 		if err := eng.InjectReplay(tr); err != nil {
@@ -341,7 +351,7 @@ func TestEngineFailoverBoundedLoss(t *testing.T) {
 		}
 		rs := eng.ReplicaStats()
 		if rs.Lag == 0 {
-			t.Fatal("manual replication should have queued every write")
+			t.Fatal("failed drains should have left every write queued")
 		}
 		if err := eng.FailSwitch(owner); err != nil {
 			t.Fatal(err)

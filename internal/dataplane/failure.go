@@ -82,7 +82,7 @@ type FailoverStats struct {
 	// Promoted maps each orphaned variable recovered from a replica to
 	// its new primary owner.
 	Promoted map[string]topo.NodeID
-	// Recovered counts the state entries restored from replica stores.
+	// Recovered counts the state entries restored from backup tables.
 	Recovered int
 	// LostVars lists orphaned variables with entries but no surviving
 	// replica; LostEntries counts their entries — gone with the victim.

@@ -1,15 +1,17 @@
 // Asynchronous state replication: the runtime half of the compiler's
-// replication-aware placement (place.Options.Replicas). Every state write
-// a primary switch performs is observed through the netasm write hook —
-// under the same striped lock that serializes the write itself, so one
-// variable's observations arrive in table order — appended to a per-switch
-// mirror queue, and applied to the backup switches' replica stores by a
-// single background goroutine, in batches, off the packet hot path.
+// replication-aware placement (place.Options.Replicas). Backup switches
+// are one more consumer of the update log (state.Update): every write to
+// a replicated variable is appended to its primary switch's mirror queue,
+// and a single background goroutine applies the queues to the backups'
+// dense tables in batches, off the packet hot path, with the same
+// state.Replica.Apply the replication workers merge with. On a lock plane
+// the primary's write hook appends under the variable's stripe lock and
+// stamps sets with a queue sequence number, so last-writer-wins follows
+// table order; on a replication plane (scr.go) each worker appends its
+// packet's log at publish, Lamport tags included.
 //
-// Observations carry the *post-write* value (never the operation), so
-// applying them is idempotent and insensitive to batching boundaries. The
-// replica therefore trails the primary by a bounded, measurable lag
-// (ReplicaStats): exactly the writes still queued. A switch failure
+// The backups trail the primaries by a bounded, measurable lag
+// (ReplicaStats): exactly the records still queued. A switch failure
 // discards the victim's queue — those writes are the bounded state loss a
 // failover reports — while everything already applied survives on the
 // backups and is promoted by Engine.Failover.
@@ -27,47 +29,47 @@ import (
 	"snap/internal/state"
 	"snap/internal/telemetry"
 	"snap/internal/topo"
-	"snap/internal/values"
 )
 
-// repWrite is one observed state mutation: the post-write value of v[idx].
-type repWrite struct {
-	v   string
-	idx values.Tuple
-	val values.Value
+// repBuffer is one primary switch's mirror queue, double-buffered so the
+// steady state allocates nothing: the drain swaps ws for spare. seq is
+// the lock plane's set tag. dead marks a failed switch: its queued (and
+// any still-arriving) records are discarded and counted as lost.
+type repBuffer struct {
+	mu    sync.Mutex
+	dead  bool
+	seq   uint64
+	ws    []state.Update
+	spare []state.Update // drain-owned (drainMu)
 }
 
-// repBuffer is one primary switch's mirror queue. dead marks a failed
-// switch: its queued (and any still-arriving) writes are discarded and
-// counted as lost instead of reaching the replicas.
-type repBuffer struct {
-	mu   sync.Mutex
-	dead bool
-	ws   []repWrite
+// backup is one backup switch's tables, bound into a replica by var id.
+type backup struct {
+	rep    *state.Replica
+	tables map[string]*state.Table
 }
 
 // replicator owns the mirror pipeline for one configuration epoch. The
 // engine swaps it wholesale on reconfiguration (under the gate, after a
-// flush), so vars/stores/pending are immutable maps after construction.
-// All methods are nil-receiver-safe: an unreplicated configuration has a
-// nil replicator.
+// flush), so its maps and slices are immutable after construction. All
+// methods are nil-receiver-safe: an unreplicated configuration has a nil
+// replicator.
 type replicator struct {
 	eng     *Engine
-	vars    map[string][]topo.NodeID     // replicated var → backups, preference order
-	stores  map[topo.NodeID]*state.Store // per-backup replica tables
-	pending map[topo.NodeID]*repBuffer   // per-primary mirror queues
+	vars    map[string][]topo.NodeID // replicated var → backups, preference order
+	backups map[topo.NodeID]*backup
+	pending map[topo.NodeID]*repBuffer // per-primary mirror queues
+	// Per-record lookups by variable id: the primary's queue (nil when
+	// unreplicated) and the backups' replicas.
+	queues []*repBuffer
+	fanout [][]*state.Replica
 
-	// enq/app count writes enqueued and applied; their difference is the
+	// enq/app count records enqueued and applied; their difference is the
 	// replica lag. They are atomics because enq sits on the packet hot
-	// path (one bump per replicated write). drainMu serializes the
-	// background drain with flush.
+	// path. drainMu serializes the background drain with flush.
 	enq     atomic.Int64
 	app     atomic.Int64
 	drainMu sync.Mutex
-
-	// manual disables the drain goroutine (Options.ManualReplication):
-	// writes queue until an explicit flush.
-	manual bool
 
 	kick chan struct{}
 	quit chan struct{}
@@ -80,77 +82,83 @@ func newReplicator(e *Engine, cfg *rules.Config) *replicator {
 	if len(cfg.Replicas) == 0 {
 		return nil
 	}
+	vs := cfg.VarSpace()
 	r := &replicator{
 		eng:     e,
 		vars:    cfg.Replicas,
-		stores:  map[topo.NodeID]*state.Store{},
+		backups: map[topo.NodeID]*backup{},
 		pending: map[topo.NodeID]*repBuffer{},
-		manual:  e.opts.ManualReplication,
+		queues:  make([]*repBuffer, vs.Len()),
+		fanout:  make([][]*state.Replica, vs.Len()),
 		kick:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	for v, backups := range cfg.Replicas {
-		for _, b := range backups {
-			if r.stores[b] == nil {
-				r.stores[b] = state.NewStore()
-			}
+		owner, ok := cfg.Placement[v]
+		id := vs.ID(v)
+		if !ok || id < 0 {
+			continue
 		}
-		if owner, ok := cfg.Placement[v]; ok && r.pending[owner] == nil {
+		if r.pending[owner] == nil {
 			r.pending[owner] = &repBuffer{}
+		}
+		r.queues[id] = r.pending[owner]
+		for _, b := range backups {
+			bk := r.backups[b]
+			if bk == nil {
+				bk = &backup{rep: state.NewReplica(vs.Len()), tables: map[string]*state.Table{}}
+				r.backups[b] = bk
+			}
+			bk.tables[v] = &state.Table{}
+			bk.rep.Bind(id, bk.tables[v])
+			r.fanout[id] = append(r.fanout[id], bk.rep)
 		}
 	}
 	return r
 }
 
-// hookFor returns the netasm write observer for a primary switch, or nil
-// when the switch owns no replicated variable.
-func (r *replicator) hookFor(node topo.NodeID, owns map[string]bool) func(string, values.Tuple, values.Value) {
+// publish enqueues a replication worker's packet log, tags as stamped.
+func (r *replicator) publish(log []state.Update) {
 	if r == nil {
-		return nil
+		return
 	}
-	buf, ok := r.pending[node]
-	if !ok {
-		return nil
+	for _, u := range log {
+		r.enqueue(u, false)
 	}
-	replicated := false
-	for v := range owns {
-		if _, ok := r.vars[v]; ok {
-			replicated = true
-			break
+}
+
+// enqueue appends a record for a replicated variable to its primary's
+// queue (a dead primary's records are counted lost instead) and kicks the
+// drainer. stamp is set by the lock plane's write hook, which runs under
+// the variable's stripe lock, so the tags it stamps on sets follow table
+// order.
+func (r *replicator) enqueue(u state.Update, stamp bool) {
+	buf := r.queues[u.VarID]
+	if buf == nil {
+		return
+	}
+	buf.mu.Lock()
+	if buf.dead {
+		r.eng.repLost.Add(1)
+	} else {
+		if stamp && u.Act == state.UpdateSet {
+			buf.seq++
+			u.Tag = buf.seq
 		}
-	}
-	if !replicated {
-		return nil
-	}
-	return func(v string, idx values.Tuple, val values.Value) {
-		if _, ok := r.vars[v]; !ok {
-			return
-		}
-		buf.mu.Lock()
-		if buf.dead {
-			// The switch died under this write; it never reaches a replica.
-			buf.mu.Unlock()
-			r.eng.repLost.Add(1)
-			return
-		}
-		buf.ws = append(buf.ws, repWrite{v: v, idx: idx, val: val})
-		buf.mu.Unlock()
+		buf.ws = append(buf.ws, u)
 		r.enq.Add(1)
-		select {
-		case r.kick <- struct{}{}:
-		default:
-		}
+	}
+	buf.mu.Unlock()
+	select {
+	case r.kick <- struct{}{}:
+	default:
 	}
 }
 
 // start launches the background drain goroutine.
 func (r *replicator) start() {
 	if r == nil {
-		return
-	}
-	if r.manual {
-		close(r.done)
 		return
 	}
 	go func() {
@@ -177,12 +185,12 @@ func (r *replicator) stop() {
 }
 
 // drainGuarded is the background drainer's panic envelope: a panic while
-// applying mirror writes is contained — counted and span-logged on the
+// applying mirror records is contained — counted and span-logged on the
 // engine — and the drain loop survives to serve the next kick, instead of
-// one poisoned write silently killing replication for the rest of the
-// process. Writes of the aborted pass that were already swapped out of
-// their buffers never reach the replicas; they stay visible as residual
-// lag (enqueued − applied), which is the honest signal — the replicas
+// one poisoned record silently killing replication for the rest of the
+// process. Records of the aborted pass that were already swapped out of
+// their buffers never reach the backups; they stay visible as residual
+// lag (enqueued − applied), which is the honest signal — the backups
 // really are behind by exactly those writes.
 func (r *replicator) drainGuarded() {
 	defer func() {
@@ -196,17 +204,21 @@ func (r *replicator) drainGuarded() {
 			})
 		}
 	}()
-	r.drain()
+	r.flush()
 }
 
-// drain applies every queued mirror write to the replica stores. Buffers
-// are swapped out under their own lock and applied outside it, so primary
-// writers are blocked only for the swap. The replicator.drain fault point
-// sits before the mutex: armed as a stall it parks the background drainer
-// right here (writes pile up at the primaries, measurably, until the
-// point is disabled); armed as an error it skips the round, leaving the
-// queues for the next kick or flush.
-func (r *replicator) drain() {
+// flush applies every queued mirror record to the backups; after it
+// returns (and absent new traffic) the backups are quiescent: lag zero.
+// Buffers are swapped out under their own lock and applied outside it,
+// so primary writers are blocked only for the swap. The replicator.drain
+// fault point sits before the mutex: armed as a stall it parks the
+// background drainer right here (records pile up at the primaries,
+// measurably, until the point is disabled); armed as an error it skips
+// the round, leaving the queues for the next kick or flush.
+func (r *replicator) flush() {
+	if r == nil {
+		return
+	}
 	if err := faultpoint.Hit(faultpoint.ReplicatorDrain); err != nil {
 		return
 	}
@@ -215,48 +227,43 @@ func (r *replicator) drain() {
 	applied := 0
 	for _, buf := range r.pending {
 		buf.mu.Lock()
-		ws := buf.ws
-		buf.ws = nil
+		us := buf.ws
+		buf.ws, buf.spare = buf.spare, nil
 		buf.mu.Unlock()
-		for _, w := range ws {
-			for _, b := range r.vars[w.v] {
-				r.stores[b].Set(w.v, w.idx, w.val)
+		for _, u := range us {
+			for _, rep := range r.fanout[u.VarID] {
+				rep.Apply(u)
 			}
 		}
-		applied += len(ws)
+		applied += len(us)
+		clear(us)
+		buf.spare = us[:0]
 	}
 	if applied > 0 {
 		r.app.Add(int64(applied))
 	}
 }
 
-// flush synchronously drains all queues; after it returns (and absent new
-// traffic) the replicas are quiescent: lag zero.
-func (r *replicator) flush() {
+// seed copies each backup table from its variable's primary on a freshly
+// seeded plane, when a new replicator is installed mid-life
+// (reconfiguration, failover), so backups do not start cold behind a
+// populated primary.
+func (r *replicator) seed(pl *plane) {
 	if r == nil {
 		return
 	}
-	r.drain()
-}
-
-// seed warms the replica stores from a global state snapshot: every
-// replicated variable's current entries are copied to each of its backups.
-// Used when a new replicator is installed mid-life (reconfiguration,
-// failover), so backups do not start cold behind a populated primary.
-func (r *replicator) seed(global *state.Store) {
-	if r == nil {
-		return
-	}
-	for v, backups := range r.vars {
-		for _, b := range backups {
-			r.stores[b].CopyVar(global, v)
+	for _, bk := range r.backups {
+		for v, tbl := range bk.tables {
+			if src, ok := pl.switches[pl.cfg.Placement[v]].TableRef(v); ok {
+				tbl.CopyFrom(src)
+			}
 		}
 	}
 }
 
 // condemn discards the mirror queue of a failed switch, returning the
-// number of writes lost (the replica-lag loss), and marks the buffer dead
-// so concurrent in-flight writes are discarded too.
+// number of records lost (the replica-lag loss), and marks the buffer dead
+// so concurrent in-flight records are discarded too.
 func (r *replicator) condemn(node topo.NodeID) int64 {
 	if r == nil {
 		return 0
@@ -271,28 +278,28 @@ func (r *replicator) condemn(node topo.NodeID) int64 {
 	buf.dead = true
 	buf.mu.Unlock()
 	if lost > 0 {
-		// The discarded writes will never be applied; account them so
+		// The discarded records will never be applied; account them so
 		// lag (enqueued - applied) returns to zero.
 		r.app.Add(lost)
 	}
 	return lost
 }
 
-// aliveReplica returns the replica store of the first alive backup of v in
+// aliveReplica returns v's table on the first alive backup in
 // promotion-preference order, or nil. Caller holds the engine quiescent.
-func (r *replicator) aliveReplica(v string) *state.Store {
+func (r *replicator) aliveReplica(v string) *state.Table {
 	if r == nil {
 		return nil
 	}
 	for _, b := range r.vars[v] {
 		if !r.eng.down[b].Load() {
-			return r.stores[b]
+			return r.backups[b].tables[v]
 		}
 	}
 	return nil
 }
 
-// queueDepth counts mirror writes currently queued at the primaries,
+// queueDepth counts mirror records currently queued at the primaries,
 // awaiting the drain — the telemetry scrape's live backlog gauge. Each
 // buffer is locked only for a length read, so primary writers stall no
 // longer than they do for an append.
@@ -344,8 +351,8 @@ func (e *Engine) ReplicaStats() ReplicaStats {
 	}
 }
 
-// FlushReplication drains the mirror queues to the replica stores under
-// the admission gate, returning with the replicas quiescent (lag zero).
+// FlushReplication drains the mirror queues to the backup tables under
+// the admission gate, returning with the backups quiescent (lag zero).
 // The failover demo and tests use it to establish the "replicas are
 // quiescent" precondition for zero-loss recovery; production callers can
 // treat it as a barrier before planned maintenance.
@@ -355,20 +362,20 @@ func (e *Engine) FlushReplication() {
 	e.replicator().flush()
 }
 
-// ReplicaTable snapshots the replica store a backup switch holds (tests
-// and diagnostics); nil when the switch backs up nothing. Taken under the
-// gate after a flush, so it reflects every write admitted so far.
+// ReplicaTable snapshots the tables a backup switch holds as a Store
+// (tests and diagnostics); nil when the switch backs up nothing. Taken
+// under the gate after a flush, so it reflects every write admitted so far.
 func (e *Engine) ReplicaTable(id topo.NodeID) *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
 	r := e.replicator()
 	r.flush()
-	if r == nil {
+	if r == nil || r.backups[id] == nil {
 		return nil
 	}
-	st, ok := r.stores[id]
-	if !ok {
-		return nil
+	st := state.NewStore()
+	for v, tbl := range r.backups[id].tables {
+		tbl.AddToStore(st, v)
 	}
-	return st.Clone()
+	return st
 }

@@ -29,6 +29,11 @@
 // and the convergence audit (AuditReplicas) checks all replicas agree at
 // quiescence.
 //
+// Backups: when the configuration mirrors state for fault tolerance
+// (replication.go), publish also appends the packet's log entries for
+// replicated variables to the owning primary's mirror queue, so the
+// backup switches merge the very records the workers do.
+//
 // What stays shared: no state table. The worker pool with its job queue
 // and packet walk, the admission gate, window, stats and observation
 // shards are the engine's own (engine.go), identical under both
@@ -49,8 +54,6 @@ import (
 	"snap/internal/rules"
 	"snap/internal/state"
 	"snap/internal/topo"
-	"snap/internal/values"
-	"snap/internal/xfdd"
 )
 
 // ExecMode identifies the concurrency discipline a plane runs under.
@@ -82,15 +85,9 @@ const maxSCRWorkers = 1 << 16
 //     non-scalar set values, touches of unowned or unplaced variables);
 //   - plane-wide act mixing: a variable written by ActSet on one program
 //     and ++/-- on another (or the same) cannot merge — last-writer-wins
-//     would drop deltas and re-execution would misorder sets;
-//   - PR-style mirror replicas in the configuration: the two replication
-//     disciplines would both claim the write observers and the failover
-//     accounting, so they are mutually exclusive.
-func replicationBlockers(cfg *rules.Config, linked map[topo.NodeID]*netasm.Linked, workers int) []string {
+//     would drop deltas and re-execution would misorder sets.
+func replicationBlockers(linked map[topo.NodeID]*netasm.Linked, workers int) []string {
 	var reasons []string
-	if len(cfg.Replicas) > 0 {
-		reasons = append(reasons, "configuration mirrors state to replica switches; mirror replication and state-compute replication are mutually exclusive")
-	}
 	if workers > maxSCRWorkers {
 		reasons = append(reasons, fmt.Sprintf("%d workers exceed the update-tag worker-id space (%d)", workers, maxSCRWorkers))
 	}
@@ -215,6 +212,9 @@ type replica struct {
 	log      []state.Update
 	rings    []*updateRing // inbound, indexed by producer worker (nil self)
 	outs     []*updateRing // outbound, indexed by consumer worker (nil self)
+	// mirror is the epoch's backup pipeline (nil when unreplicated):
+	// publish hands it the log entries of replicated variables.
+	mirror *replicator
 	// kicks wake the consumer workers: a publisher that finds an outbound
 	// ring full kicks its consumer, which may be parked with no traffic of
 	// its own — without it, an idle consumer would deadlock a
@@ -268,8 +268,9 @@ func (s *scrState) updateCounts() (published, applied int64) {
 }
 
 // buildSCR constructs the per-worker replicas for a classified-safe
-// plane, wired to the engine's workers for backpressure kicks.
-func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Linked) *scrState {
+// plane, wired to the engine's workers for backpressure kicks and to the
+// epoch's mirror pipeline.
+func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Linked, mirror *replicator) *scrState {
 	n := len(e.workers)
 	s := &scrState{replicas: make([]*replica, n)}
 	kicks := make([]chan struct{}, n)
@@ -285,6 +286,7 @@ func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Link
 			rings:    make([]*updateRing, n),
 			outs:     make([]*updateRing, n),
 			kicks:    kicks,
+			mirror:   mirror,
 		}
 		for id := range cfg.Switches {
 			sw := netasm.NewLinkedSwitch(int(id), linked[id])
@@ -314,21 +316,11 @@ func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Link
 // onStateOp is the VM write observer: record the operation in the
 // per-packet log. Sets advance the Lamport clock and pre-record their tag
 // locally so a remote set with a smaller tag cannot later overwrite them.
-func (r *replica) onStateOp(varID int32, act xfdd.ActKind, idx values.Vec, val values.Value) {
-	u := state.Update{VarID: varID, Idx: idx}
-	switch act {
-	case xfdd.ActSet:
+func (r *replica) onStateOp(u state.Update) {
+	if u.Act == state.UpdateSet {
 		r.clock++
-		u.Act = state.UpdateSet
 		u.Tag = state.MakeTag(r.clock, r.id)
-		u.Val = val
-		r.rep.RecordLocal(varID, state.KeyOf(idx), u.Tag)
-	case xfdd.ActIncr:
-		u.Act = state.UpdateIncr
-	case xfdd.ActDecr:
-		u.Act = state.UpdateDecr
-	default:
-		return
+		r.rep.RecordLocal(u.VarID, state.KeyOf(u.Idx), u.Tag)
 	}
 	r.log = append(r.log, u)
 }
@@ -353,15 +345,17 @@ func (r *replica) drain() {
 	}
 }
 
-// publish ships the packet's update log to every peer. A full outbound
-// ring means the consumer is behind: kick it (in case it is parked with no
-// traffic of its own) and drain our own inbound rings while spinning, so a
-// cycle of workers publishing at each other always makes progress —
-// someone's consumer pops, its publisher completes, and the cycle unwinds.
+// publish ships the packet's update log to the backups' mirror queues and
+// to every peer. A full outbound ring means the consumer is behind: kick
+// it (in case it is parked with no traffic of its own) and drain our own
+// inbound rings while spinning, so a cycle of workers publishing at each
+// other always makes progress — someone's consumer pops, its publisher
+// completes, and the cycle unwinds.
 func (r *replica) publish() {
 	if len(r.log) == 0 {
 		return
 	}
+	r.mirror.publish(r.log)
 	for dst, ring := range r.outs {
 		if ring == nil {
 			continue

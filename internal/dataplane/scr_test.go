@@ -1,10 +1,12 @@
-// Unit tests for the replication-discipline plumbing around scr.go: the
-// link-time safety classification (and its fallback to locks), the
+// Unit tests for the replication plumbing around scr.go: the link-time
+// safety classification (and its fallback to locks), backup mirrors fed by
+// the update log (under both disciplines, wide indexes included), the
 // once-per-program wide-index diagnostics, and the lock-discipline
 // contention counters the replication mode exists to eliminate.
 package dataplane_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,20 +66,122 @@ func TestReplicationFallbackMixedActs(t *testing.T) {
 	}
 }
 
-// TestReplicationExcludesMirrors: fault-tolerance mirror replication
-// (cfg.Replicas) shares tables across switches through the lock plane, so
-// requesting state replication on top must fall back.
-func TestReplicationExcludesMirrors(t *testing.T) {
-	comp, _, _ := compileCampus(t, 2)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{
-		Workers: 2, StateReplication: true,
-	})
-	defer eng.Close()
-	if eng.ExecMode() != dataplane.ModeLocks {
-		t.Fatalf("exec mode = %v, want locks (mirror replication present)", eng.ExecMode())
+// TestReplicatedMirrorsUnderSCR: fault-tolerance mirrors (cfg.Replicas)
+// are one more consumer of the replication workers' update log, so a K=2
+// configuration runs state-compute replication with live backups: after a
+// flush the backup equals the primary, and killing the primary loses
+// nothing.
+func TestReplicatedMirrorsUnderSCR(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			comp, tp, tm := compileCampus(t, 2)
+			primary := comp.Config.Placement["count"]
+			backups := comp.Result.Replicas["count"]
+			if len(backups) != 1 {
+				t.Fatalf("count backups = %v, want exactly one (K=2)", backups)
+			}
+			eng := dataplane.NewEngine(comp.Config, dataplane.Options{
+				Workers: workers, StateReplication: true,
+			})
+			defer eng.Close()
+			if eng.ExecMode() != dataplane.ModeReplication {
+				t.Fatalf("exec mode = %v, want replication (fallback: %v)", eng.ExecMode(), eng.ReplicationFallback())
+			}
+			if fb := eng.ReplicationFallback(); len(fb) != 0 {
+				t.Fatalf("replication fallback reported: %v", fb)
+			}
+			if err := eng.InjectReplay(trace(tm, 2000, 3)); err != nil {
+				t.Fatal(err)
+			}
+			eng.FlushReplication()
+			if rs := eng.ReplicaStats(); rs.Enqueued == 0 || rs.Lag != 0 {
+				t.Fatalf("mirror pipeline after flush: %+v", rs)
+			}
+			prim := eng.SwitchTable(primary)
+			if !prim.VarEqual(eng.ReplicaTable(backups[0]), "count") {
+				t.Fatalf("backup %d diverges from primary %d\nprimary:\n%s\nbackup:\n%s",
+					backups[0], primary, prim, eng.ReplicaTable(backups[0]))
+			}
+
+			before := eng.GlobalState()
+			if err := eng.FailSwitch(primary); err != nil {
+				t.Fatal(err)
+			}
+			degraded, err := tp.Degrade([]topo.NodeID{primary}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp2, err := comp.TopoFailover(degraded, tm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := eng.Failover(comp2.Config, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs.LostEntries != 0 || fs.LostWrites != 0 || fs.Recovered != len(prim.Entries("count")) {
+				t.Fatalf("failover under SCR: %s, want all %d count entries recovered", fs, len(prim.Entries("count")))
+			}
+			if !eng.GlobalState().VarEqual(before, "count") {
+				t.Fatal("count changed across failover")
+			}
+		})
 	}
-	if len(eng.ReplicationFallback()) == 0 {
-		t.Fatal("no refusal reasons for mirrored config")
+}
+
+// TestWideIndexMirrors: a replicated variable written with an index wider
+// than values.MaxVec takes the VM's slow path, and its writes must still
+// reach the backup — the write hook carries the table's retained tuple.
+func TestWideIndexMirrors(t *testing.T) {
+	policy := campusWorkload(syntax.Then(
+		syntax.IncrState("w", syntax.Vec(
+			syntax.F(pkt.SrcIP), syntax.F(pkt.DstIP), syntax.F(pkt.SrcPort),
+			syntax.F(pkt.DstPort), syntax.F(pkt.Proto),
+		)),
+		apps.Monitor(),
+	))
+	comp, tp, tm := compileCampusPolicy(t, policy, 2)
+	primary := comp.Config.Placement["w"]
+	backups := comp.Result.Replicas["w"]
+	if len(backups) != 1 {
+		t.Fatalf("w backups = %v, want exactly one (K=2)", backups)
+	}
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
+	defer eng.Close()
+	if err := eng.InjectReplay(trace(tm, 1000, 7)); err != nil {
+		t.Fatal(err)
+	}
+	eng.FlushReplication()
+	prim := eng.SwitchTable(primary)
+	es := prim.Entries("w")
+	if len(es) == 0 || len(es[0].Idx) != 5 {
+		t.Fatalf("primary holds no 5-wide w entries: %v", es)
+	}
+	if !prim.VarEqual(eng.ReplicaTable(backups[0]), "w") {
+		t.Fatalf("backup diverges from primary\nprimary:\n%s\nbackup:\n%s", prim, eng.ReplicaTable(backups[0]))
+	}
+
+	before := eng.GlobalState()
+	if err := eng.FailSwitch(primary); err != nil {
+		t.Fatal(err)
+	}
+	degraded, err := tp.Degrade([]topo.NodeID{primary}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp2, err := comp.TopoFailover(degraded, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := eng.Failover(comp2.Config, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.LostEntries != 0 || fs.Recovered < len(es) {
+		t.Fatalf("failover: %s, want all %d w entries recovered", fs, len(es))
+	}
+	if !eng.GlobalState().VarEqual(before, "w") {
+		t.Fatal("w changed across failover")
 	}
 }
 

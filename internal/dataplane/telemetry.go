@@ -119,13 +119,12 @@ func (e *Engine) registerMetrics() {
 			emit([]string{"fresh"}, float64(e.linkFresh.Load()))
 		})
 
-	// Replication backlog, both disciplines under one series: mirror is
-	// the PR-style pipeline (writes enqueued but not yet applied to the
-	// replica stores), scr is the update-log discipline (entries still
-	// queued in the worker-pair rings). Whichever discipline is inactive
-	// reads 0.
+	// Replication backlog, both update-log consumers under one series:
+	// mirror is the backup pipeline (records enqueued but not yet applied
+	// to the backup tables), scr the replication workers (entries still
+	// queued in the worker-pair rings). An absent consumer reads 0.
 	r.GaugeFunc("snap_replica_lag",
-		"Replication backlog by discipline: mirror writes not yet applied, or SCR updates queued in the worker-pair rings.",
+		"Replication backlog by consumer: mirror records not yet applied to the backups, or SCR updates queued in the worker-pair rings.",
 		[]string{"kind"}, func(emit telemetry.Emit) {
 			enq, app := e.replicator().lag()
 			emit([]string{"mirror"}, float64(enq-app))

@@ -206,25 +206,34 @@ func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 // TestEngineInjectSteadyStateAllocs: with telemetry registered and
 // sampling off (the defaults), the warmed packet loop must not allocate
 // per packet under either discipline, whether the caller runs the walk
-// (one worker) or hands it to the pool — the registry reads the hot
-// path's atomics at scrape time instead of interposing on it, and an
-// injection handed to the pool travels by value. The budget below covers
-// only per-call bookkeeping (the stream closure, wait group); one
-// allocation per packet would cost ≥200 and trip it.
+// (one worker) or hands it to the pool, with or without K=2 backups — the
+// registry reads the hot path's atomics at scrape time instead of
+// interposing on it, an injection handed to the pool travels by value,
+// and the double-buffered mirror queues are reused across drains. The
+// budget below covers only per-call bookkeeping (the stream closure, wait
+// group); one allocation per packet would cost ≥200 and trip it.
 func TestEngineInjectSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise clean paths")
 	}
 	for _, tc := range []struct {
-		mode    dataplane.ExecMode
-		workers int
+		mode     dataplane.ExecMode
+		workers  int
+		replicas int
 	}{
-		{dataplane.ModeLocks, 1},
-		{dataplane.ModeLocks, 2},
-		{dataplane.ModeReplication, 2},
+		{dataplane.ModeLocks, 1, 1},
+		{dataplane.ModeLocks, 2, 1},
+		{dataplane.ModeReplication, 2, 1},
+		{dataplane.ModeLocks, 1, 2},
+		{dataplane.ModeLocks, 2, 2},
+		{dataplane.ModeReplication, 2, 2},
 	} {
-		t.Run(fmt.Sprintf("%s/workers=%d", tc.mode, tc.workers), func(t *testing.T) {
-			comp, _, tm := compileCampus(t, 1)
+		name := fmt.Sprintf("%s/workers=%d", tc.mode, tc.workers)
+		if tc.replicas > 1 {
+			name += fmt.Sprintf("/k=%d", tc.replicas)
+		}
+		t.Run(name, func(t *testing.T) {
+			comp, _, tm := compileCampus(t, tc.replicas)
 			eng := dataplane.NewEngine(comp.Config, dataplane.Options{
 				Workers:          tc.workers,
 				Window:           256,
@@ -245,6 +254,7 @@ func TestEngineInjectSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			t.Logf("%.0f allocs per %d-packet replay", allocs, len(tr))
 			if allocs > 50 {
 				t.Fatalf("steady-state replay of %d packets costs %.0f allocs/run, want per-call bookkeeping only (≤50)", len(tr), allocs)
 			}

@@ -286,25 +286,19 @@ type Switch struct {
 	Owns map[string]bool
 	// Guard against runaway programs.
 	MaxSteps int
-	// OnStateWrite, when set, observes every mutation of the state tables
-	// with the variable, index and post-write value. The data-plane engine
-	// installs it to mirror writes to replica switches asynchronously. It
-	// runs under the same external serialization as Run itself (the
-	// caller's lock set covers the written variable), so implementations
-	// see writes to one variable in table order; they must not block. The
-	// index tuple it receives is the entry's retained first-insert tuple —
-	// observers must treat it as immutable.
-	OnStateWrite func(v string, idx values.Tuple, val values.Value)
-	// OnStateOp, when set, observes every fast-path state mutation as the
-	// *operation* that produced it: dense variable id, act, raw index
-	// vector and — for sets — the written value. Unlike OnStateWrite it
-	// never allocates (the index travels as the inline Vec, not the
-	// retained Tuple), which is what lets the state-replication engine mode
-	// build per-packet update logs on the hot path. It fires only for
-	// writes with an index of arity ≤ values.MaxVec and a variable known
-	// to the linked space; replication-mode planes are classified at link
-	// time (Linked.ReplicationBlockers) so neither exclusion occurs there.
-	OnStateOp func(varID int32, act xfdd.ActKind, idx values.Vec, val values.Value)
+	// OnStateOp, when set, observes every mutation of the state tables as
+	// the operation that produced it (state.Update, untagged): dense
+	// variable id, act, index and — for sets — the written value. It is the
+	// one write hook: the engine installs it to build the per-packet update
+	// logs of the state-compute replication discipline and to feed the
+	// backup switches' mirror queues. It runs under the same external
+	// serialization as Run itself (the caller's lock set covers the written
+	// variable), so it sees one variable's writes in table order; it must
+	// not block. Fast-path writes carry the inline index and never
+	// allocate; wide-index writes carry the table's retained first-insert
+	// tuple in IdxWide, which observers must treat as immutable. Writes to
+	// variables unknown to the linked space are not reported.
+	OnStateOp func(u state.Update)
 
 	lp     *Linked
 	tables []state.Table
@@ -492,38 +486,39 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 			kept++
 			continue
 		}
-		tbl := sw.table(w.Var)
-		var idx values.Tuple
-		var val values.Value
-		switch {
-		case w.IdxWide != nil:
-			switch w.Act {
-			case xfdd.ActSet:
-				idx, val = tbl.SetWide(w.IdxWide, w.Val), w.Val
-			case xfdd.ActIncr:
-				idx, val = tbl.AddWide(w.IdxWide, 1)
-			case xfdd.ActDecr:
-				idx, val = tbl.AddWide(w.IdxWide, -1)
-			}
-		default:
-			k := state.KeyOf(w.Idx)
-			switch w.Act {
-			case xfdd.ActSet:
-				idx, val = tbl.Set(k, w.Idx, w.Val), w.Val
-			case xfdd.ActIncr:
-				idx, val = tbl.Add(k, w.Idx, 1)
-			case xfdd.ActDecr:
-				idx, val = tbl.Add(k, w.Idx, -1)
-			}
-			if sw.OnStateOp != nil && w.VarID >= 0 {
-				sw.OnStateOp(w.VarID, w.Act, w.Idx, val)
-			}
-		}
-		if sw.OnStateWrite != nil {
-			sw.OnStateWrite(w.Var, idx, val)
-		}
+		sw.write(sw.table(w.Var), w.VarID, w.Act, w.Idx, w.IdxWide, w.Val)
 	}
 	h.truncatePending(kept)
+}
+
+// write applies one state operation to tbl — on the overflow map when a
+// wide index is given — and reports it to OnStateOp.
+func (sw *Switch) write(tbl *state.Table, varID int32, act xfdd.ActKind, raw values.Vec, wide values.Tuple, val values.Value) {
+	var op state.UpdateAct
+	var delta int64
+	switch act {
+	case xfdd.ActSet:
+		op = state.UpdateSet
+	case xfdd.ActIncr:
+		op, delta = state.UpdateIncr, 1
+	case xfdd.ActDecr:
+		op, delta = state.UpdateDecr, -1
+	default:
+		return
+	}
+	switch {
+	case wide != nil && delta == 0:
+		wide = tbl.SetWide(wide, val)
+	case wide != nil:
+		wide = tbl.AddWide(wide, delta)
+	case delta == 0:
+		tbl.Set(state.KeyOf(raw), raw, val)
+	default:
+		tbl.Add(state.KeyOf(raw), raw, delta)
+	}
+	if sw.OnStateOp != nil && varID >= 0 {
+		sw.OnStateOp(state.Update{VarID: varID, Act: op, Idx: raw, IdxWide: wide, Val: val})
+	}
 }
 
 // deliverOutcome routes a delivery-phase packet: first to any remaining
@@ -610,45 +605,22 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 			pc = int(li.next)
 
 		case OpStateWrite:
-			tbl := &sw.tables[li.tbl]
-			var idx values.Tuple
 			var val values.Value
+			if li.act == xfdd.ActSet {
+				v, err := sw.scalar(li, &sp.Pkt)
+				if err != nil {
+					return dst, err
+				}
+				val = v
+			}
+			var raw values.Vec
+			var wide values.Tuple
 			if li.slowIdx == nil {
-				raw := li.idx.vec(&sp.Pkt)
-				k := state.KeyOf(raw)
-				switch li.act {
-				case xfdd.ActSet:
-					v, err := sw.scalar(li, &sp.Pkt)
-					if err != nil {
-						return dst, err
-					}
-					idx, val = tbl.Set(k, raw, v), v
-				case xfdd.ActIncr:
-					idx, val = tbl.Add(k, raw, 1)
-				case xfdd.ActDecr:
-					idx, val = tbl.Add(k, raw, -1)
-				}
-				if sw.OnStateOp != nil && li.varID >= 0 {
-					sw.OnStateOp(li.varID, li.act, raw, val)
-				}
+				raw = li.idx.vec(&sp.Pkt)
 			} else {
-				wide := evalIdx(li.slowIdx, sp.Pkt)
-				switch li.act {
-				case xfdd.ActSet:
-					v, err := sw.scalar(li, &sp.Pkt)
-					if err != nil {
-						return dst, err
-					}
-					idx, val = tbl.SetWide(wide, v), v
-				case xfdd.ActIncr:
-					idx, val = tbl.AddWide(wide, 1)
-				case xfdd.ActDecr:
-					idx, val = tbl.AddWide(wide, -1)
-				}
+				wide = evalIdx(li.slowIdx, sp.Pkt)
 			}
-			if sw.OnStateWrite != nil {
-				sw.OnStateWrite(li.vname, idx, val)
-			}
+			sw.write(&sw.tables[li.tbl], li.varID, li.act, raw, wide, val)
 			pc = int(li.next)
 
 		case OpResolve:

@@ -102,22 +102,6 @@ func (c *Config) VarSpace() *netasm.VarSpace {
 	return c.vars
 }
 
-// ReplicaOf reports the variables switch n backs up, sorted. Used for
-// diagnostics and by the engine to pre-create replica tables.
-func (c *Config) ReplicaOf(n topo.NodeID) []string {
-	var out []string
-	for v, rs := range c.Replicas {
-		for _, r := range rs {
-			if r == n {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Generate compiles per-switch configurations from the xFDD and the
 // optimizer's placement and routes.
 func Generate(d *xfdd.Diagram, t *topo.Topology, placement map[string]topo.NodeID, routes map[[2]int]place.Route) (*Config, error) {

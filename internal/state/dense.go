@@ -22,6 +22,7 @@
 package state
 
 import (
+	"maps"
 	"sort"
 
 	"snap/internal/values"
@@ -76,8 +77,7 @@ func (t *Table) Get(k Key) values.Value {
 // Set writes v at k, retaining raw as the entry's index tuple on first
 // insert (overwrites keep the original tuple — same policy as Store.Set,
 // one clone per entry lifetime, not per write). It returns the retained
-// tuple so the caller can hand a stable index to the write observer
-// without re-allocating.
+// tuple.
 func (t *Table) Set(k Key, raw values.Vec, v values.Value) values.Tuple {
 	if e, ok := t.m[k]; ok {
 		e.Val = v
@@ -94,7 +94,7 @@ func (t *Table) Set(k Key, raw values.Vec, v values.Value) values.Tuple {
 
 // Add applies the ++/-- delta at k (coercing the current value like
 // Store.Add) in one lookup-and-store, returning the retained index tuple
-// and the post-write value for the write observer.
+// and the post-write value.
 func (t *Table) Add(k Key, raw values.Vec, delta int64) (values.Tuple, values.Value) {
 	if e, ok := t.m[k]; ok {
 		e.Val = values.Int(e.Val.AsInt() + delta)
@@ -121,7 +121,8 @@ func (t *Table) GetWide(idx values.Tuple) values.Value {
 	return Default
 }
 
-// SetWide writes v at a wide index, cloning idx only on first insert.
+// SetWide writes v at a wide index, cloning idx only on first insert, and
+// returns the retained tuple (the write observer's stable index).
 func (t *Table) SetWide(idx values.Tuple, v values.Value) values.Tuple {
 	k := idx.Key()
 	if e, ok := t.wide[k]; ok {
@@ -137,21 +138,20 @@ func (t *Table) SetWide(idx values.Tuple, v values.Value) values.Tuple {
 	return kept
 }
 
-// AddWide applies a delta at a wide index.
-func (t *Table) AddWide(idx values.Tuple, delta int64) (values.Tuple, values.Value) {
+// AddWide applies a delta at a wide index, returning the retained tuple.
+func (t *Table) AddWide(idx values.Tuple, delta int64) values.Tuple {
 	k := idx.Key()
 	if e, ok := t.wide[k]; ok {
 		e.Val = values.Int(e.Val.AsInt() + delta)
 		t.wide[k] = e
-		return e.Idx, e.Val
+		return e.Idx
 	}
 	if t.wide == nil {
 		t.wide = make(map[string]Entry)
 	}
 	kept := append(values.Tuple(nil), idx...)
-	val := values.Int(Default.AsInt() + delta)
-	t.wide[k] = Entry{Idx: kept, Val: val}
-	return kept, val
+	t.wide[k] = Entry{Idx: kept, Val: values.Int(Default.AsInt() + delta)}
+	return kept
 }
 
 // GetTuple dispatches a slice-tuple read to the right map (control-plane
@@ -170,15 +170,6 @@ func (t *Table) SetTuple(idx values.Tuple, v values.Value) values.Tuple {
 		return t.Set(k, raw, v)
 	}
 	return t.SetWide(idx, v)
-}
-
-// AddTuple dispatches a slice-tuple delta (control-plane convenience).
-func (t *Table) AddTuple(idx values.Tuple, delta int64) (values.Tuple, values.Value) {
-	if k, ok := KeyOfTuple(idx); ok {
-		raw, _ := values.VecOf(idx)
-		return t.Add(k, raw, delta)
-	}
-	return t.AddWide(idx, delta)
 }
 
 // Equal reports whether two tables hold semantically equal bindings: the
@@ -229,6 +220,13 @@ func (t *Table) AddToStore(st *Store, name string) {
 	for _, e := range t.wide {
 		st.Set(name, e.Idx, e.Val)
 	}
+}
+
+// CopyFrom replaces the table's contents with src's. The entries share
+// src's retained index tuples, which are immutable.
+func (t *Table) CopyFrom(src *Table) {
+	t.m = maps.Clone(src.m)
+	t.wide = maps.Clone(src.wide)
 }
 
 // SeedFrom loads variable name's entries from a canonical store — the

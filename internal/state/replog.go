@@ -1,27 +1,32 @@
-// The update log of the state-compute replication discipline (after
-// "State-Compute Replication", arXiv 2309.14647). Instead of sharing one
-// table behind a lock, every worker keeps a private Replica of all state
-// tables and appends each of its writes to a compact log that the engine
-// ships to the other workers; each replica re-executes the logged
-// operations against its own copy, so the hot path never takes a
-// cross-core lock and replicas converge deterministically:
+// The update log: the one replication record of the data plane, after
+// "State-Compute Replication" (arXiv 2309.14647). Every state write a
+// switch VM performs is observed as the operation that produced it — not
+// its effect — and shipped to other copies of the table, which replay it
+// against their own Replica. Two consumers read the log: the workers of
+// the state-compute replication discipline, which each keep a private
+// copy of every table instead of sharing one behind a lock, and the
+// backup switches of the fault-tolerance mirrors, which trail each
+// replicated variable's primary. One merge rule serves both:
 //
 //   - increments and decrements commute, so they are replayed verbatim on
 //     every replica — any application order yields the same sums, exactly
 //     the paper's commutative-update class;
-//   - value assignments (s[idx] ← e) do not commute, so each carries a
-//     Lamport-style tag (logical clock in the high bits, worker id in the
-//     low bits — a total order) and replicas keep last-writer-wins per
-//     (variable, key). Applying a remote update advances the local clock
-//     past its tag before the next local write is stamped, so the tag
-//     order extends the causal order: once all logs are applied, every
-//     replica holds the value of the globally largest tag.
+//   - value assignments (s[idx] ← e) do not commute, so each carries a tag
+//     and replicas keep last-writer-wins per (variable, key). The
+//     replication workers stamp Lamport tags (logical clock in the high
+//     bits, worker id in the low bits — a total order); applying a remote
+//     update advances the local clock past its tag before the next local
+//     write is stamped, so the tag order extends the causal order and
+//     every replica ends on the value of the globally largest tag. A
+//     lock-discipline primary stamps a sequence number instead, in table
+//     order, so its backups end on the table's last write.
 //
-// The log is deliberately restricted to operations expressible without
-// allocation — inline index vector, scalar value — and the link step
-// classifies exactly which programs stay inside that fragment
-// (netasm.Linked.ReplicationBlockers); programs outside it run under the
-// lock discipline instead.
+// The replication discipline restricts its log to operations expressible
+// without allocation — inline index vector, scalar value — and the link
+// step classifies exactly which programs stay inside that fragment
+// (netasm.Linked.ReplicationBlockers). Mirrors also carry index tuples
+// wider than values.MaxVec: only lock-discipline primaries write them,
+// and their backups apply them in log order, which is table order.
 package state
 
 import (
@@ -54,20 +59,24 @@ func TagClock(tag uint64) uint64 { return tag >> tagWorkerBits }
 
 // Update is one logged state write: the operation, not its effect, so
 // commutative deltas merge by re-execution. It is a value type sized for
-// ring-buffer transport — no pointers beyond those inside the values.
+// ring-buffer transport — no pointers beyond those inside the values and
+// the wide index.
 type Update struct {
 	VarID int32
 	Act   UpdateAct
-	Tag   uint64 // UpdateSet only: the writer's Lamport tag
+	Tag   uint64 // UpdateSet only: the writer's last-writer-wins tag
 	Idx   values.Vec
-	Val   values.Value // UpdateSet only
+	// IdxWide replaces Idx for index tuples wider than values.MaxVec: the
+	// writing table's retained tuple, immutable.
+	IdxWide values.Tuple
+	Val     values.Value // UpdateSet only
 }
 
-// Replica is one worker's private copy of a plane's state, bound to the
-// dense tables of that worker's switch VMs by variable id. It tracks, per
-// (variable, key), the largest set-tag applied so far — local writes are
-// already in the tables when recorded, so Apply only ever filters remote
-// sets that lost the last-writer race.
+// Replica is one copy of a plane's state — a replication worker's private
+// tables, or a backup switch's — bound to dense tables by variable id. It
+// tracks, per (variable, key), the largest set-tag applied so far — local
+// writes are already in the tables when recorded, so Apply only ever
+// filters remote sets that lost the last-writer race.
 type Replica struct {
 	tables []*Table
 	tags   []map[Key]uint64
@@ -111,7 +120,8 @@ func (r *Replica) Applied() int64 { return r.applied.Load() }
 
 // Apply replays one remote update against the replica: deltas re-execute
 // unconditionally, sets apply only when their tag beats the largest tag
-// this replica has seen for the key.
+// this replica has seen for the key. Wide-index updates apply in log
+// order (see the file comment).
 func (r *Replica) Apply(u Update) {
 	if int(u.VarID) >= len(r.tables) || u.VarID < 0 {
 		return
@@ -121,6 +131,17 @@ func (r *Replica) Apply(u Update) {
 		return
 	}
 	r.applied.Add(1)
+	if u.IdxWide != nil {
+		switch u.Act {
+		case UpdateIncr:
+			tbl.AddWide(u.IdxWide, 1)
+		case UpdateDecr:
+			tbl.AddWide(u.IdxWide, -1)
+		case UpdateSet:
+			tbl.SetWide(u.IdxWide, u.Val)
+		}
+		return
+	}
 	k := KeyOf(u.Idx)
 	switch u.Act {
 	case UpdateIncr:

@@ -127,3 +127,23 @@ func TestTryLock(t *testing.T) {
 		t.Fatal("TryLock on empty set failed")
 	}
 }
+
+// TestReplicaWideIndexLogOrder: updates indexed wider than values.MaxVec
+// take the overflow map and apply in log order — a set then an increment
+// at the same wide key ends on set+1, and the table keeps its own copy of
+// the index.
+func TestReplicaWideIndexLogOrder(t *testing.T) {
+	wide := values.Tuple{values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5)}
+	r, tbl := makeReplica()
+	r.Apply(Update{VarID: 0, Act: UpdateSet, IdxWide: wide, Val: values.Int(10)})
+	r.Apply(Update{VarID: 0, Act: UpdateIncr, IdxWide: wide})
+	r.Apply(Update{VarID: 0, Act: UpdateDecr, IdxWide: wide})
+	r.Apply(Update{VarID: 0, Act: UpdateIncr, IdxWide: wide})
+	if got := tbl.GetWide(wide); !values.Eq(got, values.Int(11)) {
+		t.Fatalf("wide entry = %v, want 11", got)
+	}
+	wide[0] = values.Int(9)
+	if es := tbl.Entries(); len(es) != 1 || !values.Eq(es[0].Idx[0], values.Int(1)) {
+		t.Fatalf("table shares the update's index tuple: %+v", es)
+	}
+}
