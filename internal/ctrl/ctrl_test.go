@@ -217,6 +217,67 @@ func TestControllerSequentialEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardFoldThroughSwap runs a shard fold inside a real epoch swap: a
+// sharded monitor swaps to the unsharded configuration with the migration
+// plan's rewrite, which must fold the shard counters into the base
+// variable (the swap's Store-view adapter), and the folded counters must
+// keep accumulating afterwards.
+func TestShardFoldThroughSwap(t *testing.T) {
+	netw := topo.Campus(1000)
+	tm := traffic.Gravity(netw, 100, 1)
+	shards := []shard.Plan{shard.PortsPlan("count", []int{1, 2, 3, 4, 5, 6})}
+	compile := func(sharded bool) *rules.Config {
+		policy, err := bench.MonitorWorkload(sharded, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := core.ColdStart(policy, netw, tm, place.Options{Method: place.Heuristic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp.Config
+	}
+	shardedCfg, plainCfg := compile(true), compile(false)
+	eng := dataplane.NewEngine(shardedCfg, dataplane.Options{Workers: 2, Window: 64})
+	defer eng.Close()
+
+	trace := bench.ReplayIngress(tm.Replay(2000, 7))
+	if err := eng.InjectReplay(trace); err != nil {
+		t.Fatal(err)
+	}
+	want, err := shard.Merge(eng.GlobalState(), shards[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Entries("count")) == 0 {
+		t.Fatal("no counters to fold")
+	}
+	plan := ctrl.PlanMigration(shardedCfg, plainCfg, shards, nil)
+	if len(plan.Folds) != 1 {
+		t.Fatalf("folds = %v, want the count family", plan.Folds)
+	}
+	if err := eng.ApplyConfig(plainCfg, plan.Rewrite()); err != nil {
+		t.Fatalf("ApplyConfig with fold: %v", err)
+	}
+	if got := eng.GlobalState(); !got.Equal(want) {
+		t.Fatalf("folded state diverges from shard.Merge\nengine:\n%s\nmerge:\n%s", got, want)
+	}
+
+	// The same trace again doubles every folded counter.
+	if err := eng.InjectReplay(trace); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.GlobalState()
+	for _, e := range want.Entries("count") {
+		if got, w := after.Get("count", e.Idx).AsInt(), 2*e.Val.AsInt(); got != w {
+			t.Fatalf("count%v = %d after the second replay, want %d", e.Idx, got, w)
+		}
+	}
+	if len(after.Vars()) != 1 {
+		t.Fatalf("state vars after fold = %v, want only count", after.Vars())
+	}
+}
+
 // TestFailoverSequentialEquivalence is the fault-tolerance end-to-end
 // property: a replay interrupted by a switch kill and controller-driven
 // failover must end in the same surviving global state — and deliver the

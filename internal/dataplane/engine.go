@@ -45,8 +45,10 @@ package dataplane
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -479,17 +481,23 @@ type plane struct {
 	lockVars map[topo.NodeID][]int32
 }
 
-// seedVar re-seats one variable's entries on its owner switch — on every
-// worker's replica of it under replication mode, so all copies start the
-// epoch converged.
-func (pl *plane) seedVar(global *state.Store, v string, owner topo.NodeID) {
-	if pl.scr != nil {
-		for _, r := range pl.scr.replicas {
-			r.switches[owner].SeedVar(global, v)
-		}
+// seat hands one variable's migrated table to its owner switch, which
+// adopts its maps. Under replication mode worker 0's replica adopts and
+// every other worker gets a private clone — shared maps would apply each
+// merged increment twice — so all copies start the epoch converged.
+func (pl *plane) seat(v string, tbl *state.Table, owner topo.NodeID) {
+	if pl.scr == nil {
+		pl.switches[owner].AdoptTable(v, tbl)
 		return
 	}
-	pl.switches[owner].SeedVar(global, v)
+	for i, r := range pl.scr.replicas {
+		t := tbl
+		if i > 0 {
+			t = new(state.Table)
+			t.CopyFrom(tbl)
+		}
+		r.switches[owner].AdoptTable(v, t)
+	}
 }
 
 // stateTarget resolves the switch a suspended packet must reach, by dense
@@ -501,10 +509,11 @@ func (pl *plane) stateTarget(r *netasm.Result) (topo.NodeID, bool) {
 	return stateTarget(pl.cfg, r)
 }
 
-// StateRewrite transforms the global state store during ApplyConfig, after
-// extraction from the old switches and before re-seating on the new owners.
-// The controller uses it to fold shard variables (shard.Merge) when the new
-// configuration no longer knows them; nil means migrate entries unchanged.
+// StateRewrite transforms the global state during ApplyConfig, after
+// collection from the old switches and before re-seating on the new owners.
+// It sees a Store view of the collected tables, built only for it. The
+// controller uses it to fold shard variables (shard.Merge) when the new
+// configuration no longer knows them; nil hands the tables over unchanged.
 type StateRewrite func(*state.Store) (*state.Store, error)
 
 // Engine is the data-plane runtime.
@@ -954,10 +963,10 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 //     InjectStream callers block mid-call and continue afterwards) and
 //     waits for all in-flight injections to retire, leaving the workers
 //     idle;
-//  2. migrate — the per-switch state tables are unioned into the global
-//     store, passed through rewrite (nil = identity; internal/ctrl uses it
-//     to fold shard variables the new configuration no longer knows), and
-//     re-seated variable by variable on each one's new owner switch;
+//  2. migrate — each variable's state table is collected from the switch
+//     holding it and handed, maps and all, to its new owner switch; only a
+//     non-nil rewrite (internal/ctrl folds shard variables the new
+//     configuration no longer knows) sees the state, as a Store view;
 //  3. swap — fresh VMs with the migrated tables, the new programs and new
 //     routes are published atomically as the next plane epoch, and the
 //     gate resumes admission.
@@ -996,7 +1005,7 @@ type recovery struct {
 }
 
 // apply is the shared swap sequence of ApplyConfig, Failover and Recover,
-// structured as a transaction: prepare (flush, reconcile, union, rewrite),
+// structured as a transaction: prepare (flush, reconcile, collect, rewrite),
 // validate (every entry-holding variable has an up owner), build (link +
 // plane + replica seed), then commit. Every
 // fallible stage runs in prepareSwap against private data; a failure
@@ -1025,11 +1034,11 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	// Under the replication discipline, drain the update rings so worker
 	// 0's replica (old.switches) is the converged canonical state.
 	e.reconcile(old)
-	global := e.unionUpState(old.switches)
+	tables := e.upTables(old.switches)
 	if degraded {
-		e.recoverOrphans(old, cfg, global, fs)
+		e.recoverOrphans(old, cfg, tables, fs)
 	}
-	next, newRep, err := e.prepareSwap(cfg, rewrite, global)
+	next, newRep, err := e.prepareSwap(cfg, rewrite, tables)
 	if err != nil {
 		return nil, e.rollback(began, err)
 	}
@@ -1038,7 +1047,7 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	// contention counters bank here (not earlier — a rolled-back apply
 	// must not double-count them on retry), recovering elements come back
 	// up here — after the stale state of the dead switches was excluded
-	// from the union above, and never on an errored apply — and panic
+	// from the collection above, and never on an errored apply — and panic
 	// quarantine lifts: the poisoned VMs have just been replaced by fresh
 	// ones re-seated from the migrated state.
 	e.foldContention(old)
@@ -1076,9 +1085,10 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 }
 
 // prepareSwap runs every fallible stage of a reconfiguration — the state
-// rewrite, ownership validation, link + plane build, replica seeding and
-// the state re-seat — against data the old plane never reads, so an error
-// anywhere aborts with the engine exactly as it was. The one piece of
+// rewrite, ownership validation, link + plane build, the state re-seat and
+// replica seeding — without writing anything the old plane reads (the new
+// VMs adopt its tables, but nothing writes them before the commit), so an
+// error anywhere aborts with the engine exactly as it was. The one piece of
 // engine state buildPlane touches, the cross-epoch link cache, is
 // snapshotted and restored on failure (a half-populated cache keyed to an
 // abandoned VarSpace must not leak into the next attempt). A panic in any
@@ -1089,7 +1099,7 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 // The engine.apply.* fault points mark the three externally injectable
 // failure stages — rewrite, link, reseed — for tests and the chaos
 // harness.
-func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *state.Store) (next *plane, newRep *replicator, err error) {
+func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, tables map[string]*state.Table) (next *plane, newRep *replicator, err error) {
 	prevSig, prevCache := e.linkSig, e.linkCache
 	defer func() {
 		if v := recover(); v != nil {
@@ -1104,14 +1114,23 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *st
 		return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
 	}
 	if rewrite != nil {
-		if global, err = rewrite(global); err != nil {
+		// The one conversion a swap makes: rewrite a Store view, seed the
+		// result into fresh tables.
+		st, err := rewrite(storeView(tables))
+		if err != nil {
 			return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
 		}
+		tables = map[string]*state.Table{}
+		for _, v := range st.Vars() {
+			tables[v] = new(state.Table)
+			tables[v].SeedFrom(st, v)
+		}
 	}
+	vars := slices.Sorted(maps.Keys(tables))
 	// Validate ownership before paying for the build: an entry-holding
 	// variable the new placement cannot seat fails the swap regardless of
 	// what the plane would look like.
-	for _, v := range global.Vars() {
+	for _, v := range vars {
 		owner, ok := cfg.Placement[v]
 		if !ok {
 			return nil, nil, fmt.Errorf("dataplane: state variable %s has no owner under the new configuration (fold or drop it in the rewrite)", v)
@@ -1129,13 +1148,13 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *st
 	// replicator is only swapped at the caller's commit point.
 	newRep = newReplicator(e, cfg)
 	next = e.buildPlane(cfg, newRep)
+	for _, v := range vars {
+		next.seat(v, tables[v], cfg.Placement[v])
+	}
+	newRep.seed(next)
 	if err := faultpoint.Hit(faultpoint.EngineApplyReseed); err != nil {
 		return nil, nil, fmt.Errorf("dataplane: state reseat: %w", err)
 	}
-	for _, v := range global.Vars() {
-		next.seedVar(global, v, cfg.Placement[v])
-	}
-	newRep.seed(next)
 	return next, newRep, nil
 }
 
@@ -1149,24 +1168,21 @@ func (e *Engine) replicator() *replicator {
 
 // recoverOrphans sources the entries of variables whose primary owner is
 // down: the first alive replica in promotion-preference order (per the old
-// configuration) is authoritative; with no surviving replica the entries
-// are lost and only counted. Victim tables are never read — a dead
-// switch's memory is unreachable by definition; the simulator merely still
-// holds it, which is what lets the loss be counted exactly.
-func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, global *state.Store, fs *FailoverStats) {
+// configuration) is authoritative, and a clone of its table joins the
+// collected ones (a rolled-back swap leaves the backup intact); with no
+// surviving replica the entries are lost and only counted. Victim tables
+// are never read — a dead switch's memory is unreachable by definition;
+// the simulator merely still holds it, which is what lets the loss be
+// counted exactly.
+func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, tables map[string]*state.Table, fs *FailoverStats) {
 	oldCfg := old.cfg
-	vars := make([]string, 0, len(oldCfg.Placement))
-	for v := range oldCfg.Placement {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	for _, v := range vars {
+	for _, v := range slices.Sorted(maps.Keys(oldCfg.Placement)) {
 		owner := oldCfg.Placement[v]
 		if !e.down[owner].Load() {
 			continue
 		}
 		if tbl := e.replicator().aliveReplica(v); tbl != nil {
-			tbl.AddToStore(global, v)
+			tables[v] = state.Union(tables[v], tbl)
 			fs.Recovered += tbl.Len()
 			if newOwner, ok := cfg.Placement[v]; ok {
 				fs.Promoted[v] = newOwner
@@ -1230,22 +1246,34 @@ func portDiff(a, b *topo.Topology, removedOK bool) string {
 	return strings.Join(parts, "; ")
 }
 
-// unionUpState unions the state tables of alive switches only: a down
-// switch's memory is gone with it.
-func (e *Engine) unionUpState(switches map[topo.NodeID]*netasm.Switch) *state.Store {
-	out := state.NewStore()
-	ids := make([]topo.NodeID, 0, len(switches))
-	for id := range switches {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+// upTables collects the non-empty state tables of alive switches by
+// variable — a down switch's memory is gone with it. Tables are taken by
+// reference, read-only: a rolled-back swap must leave the old plane
+// bit-identical. A variable held by several up switches is merged into a
+// fresh table in switch-id order (state.Union), as a Store union would.
+func (e *Engine) upTables(switches map[topo.NodeID]*netasm.Switch) map[string]*state.Table {
+	out := map[string]*state.Table{}
+	for _, id := range slices.Sorted(maps.Keys(switches)) {
 		if e.down[id].Load() {
 			continue
 		}
-		switches[id].StateInto(out)
+		for v, t := range switches[id].Tables() {
+			if prev, ok := out[v]; ok {
+				t = state.Union(prev, t)
+			}
+			out[v] = t
+		}
 	}
 	return out
+}
+
+// storeView dumps collected tables into a canonical Store copy.
+func storeView(tables map[string]*state.Table) *state.Store {
+	st := state.NewStore()
+	for v, t := range tables {
+		t.AddToStore(st, v)
+	}
+	return st
 }
 
 // Epoch counts the configurations this engine has run: 0 at NewEngine,
@@ -1365,7 +1393,7 @@ func (e *Engine) GlobalState() *state.Store {
 	defer e.gate.resume()
 	pl := e.plane.Load()
 	e.reconcile(pl)
-	return e.unionUpState(pl.switches)
+	return storeView(e.upTables(pl.switches))
 }
 
 // SwitchTable snapshots one switch's tables in canonical Store form

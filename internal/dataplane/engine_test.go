@@ -460,6 +460,65 @@ func TestEngineApplyConfigMidStream(t *testing.T) {
 	}
 }
 
+// TestApplyConfigAllocsIndependentOfState: an epoch swap hands each dense
+// state table to its new owner instead of copying it entry by entry, so
+// the swap allocates about as much on an engine holding thousands of
+// entries as on an empty one.
+func TestApplyConfigAllocsIndependentOfState(t *testing.T) {
+	netw := topo.Campus(1000)
+	cfg := deploy(t, campusWorkload(apps.DNSTunnelDetect()), netw, nil)
+	empty := dataplane.NewEngine(cfg, dataplane.Options{Workers: 1})
+	defer empty.Close()
+	full := dataplane.NewEngine(cfg, dataplane.Options{Workers: 1})
+	defer full.Close()
+
+	// DNS responses into 10.0.6.0/24, each (client, rdata) pair distinct:
+	// one orphan entry per packet plus a counter per client.
+	batch := make([]dataplane.Ingress, 0, 2000)
+	for i := 0; i < cap(batch); i++ {
+		port := 1 + i%5
+		host := byte(1 + i%250)
+		batch = append(batch, dataplane.Ingress{Port: port, Packet: pkt.New(map[pkt.Field]values.Value{
+			pkt.Inport:   values.Int(int64(port)),
+			pkt.SrcIP:    values.IPv4(10, 0, byte(port), host),
+			pkt.DstIP:    values.IPv4(10, 0, 6, host),
+			pkt.SrcPort:  values.Int(53),
+			pkt.DstPort:  values.Int(1234),
+			pkt.DNSRData: values.IPv4(10, 0, byte(1+i/250), byte(1+(i*7)%250)),
+		})})
+	}
+	if _, err := full.InjectBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	before := full.GlobalState()
+	entries := 0
+	for _, v := range before.Vars() {
+		entries += len(before.Entries(v))
+	}
+	if entries < 2000 {
+		t.Fatalf("warm engine holds %d entries, want >= 2000", entries)
+	}
+
+	swapAllocs := func(eng *dataplane.Engine) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := eng.ApplyConfig(cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, got := swapAllocs(empty), swapAllocs(full)
+	t.Logf("allocs per swap: %.0f with %d entries, %.0f empty", got, entries, base)
+	if !full.GlobalState().Equal(before) {
+		t.Fatal("state changed across same-configuration swaps")
+	}
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; allocation bound skipped")
+	}
+	if got > base+200 {
+		t.Fatalf("swap of %d entries allocates %.0f times, empty-state swap %.0f: allocations grow with state", entries, got, base)
+	}
+}
+
 // TestEngineUnknownPort: injecting at a nonexistent port errors cleanly.
 func TestEngineUnknownPort(t *testing.T) {
 	netw := topo.Campus(1000)

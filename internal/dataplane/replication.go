@@ -373,9 +373,5 @@ func (e *Engine) ReplicaTable(id topo.NodeID) *state.Store {
 	if r == nil || r.backups[id] == nil {
 		return nil
 	}
-	st := state.NewStore()
-	for v, tbl := range r.backups[id].tables {
-		tbl.AddToStore(st, v)
-	}
-	return st
+	return storeView(r.backups[id].tables)
 }

@@ -286,8 +286,9 @@ func TestReplicatedConvergenceUnderLoad(t *testing.T) {
 }
 
 // TestReplicatedReconfigure drives an epoch swap on a live replicated
-// engine: replay, ApplyConfig of the same configuration (state must
-// migrate through the canonical store and re-seed every worker replica),
+// engine: replay, ApplyConfig of the same configuration (worker 0's
+// replica must adopt each migrated table and every other worker get a
+// clone of it),
 // replay again, and compare against the semantics' uninterrupted
 // sequential reference.
 func TestReplicatedReconfigure(t *testing.T) {

@@ -41,8 +41,10 @@ const (
 	// EngineApplyRewrite fires in Engine.apply where the state rewrite
 	// runs — a rewrite failure during migration.
 	EngineApplyRewrite = "engine.apply.rewrite"
-	// EngineApplyReseed fires in Engine.apply before the migrated state is
-	// re-seated on the new plane — a reseed failure after the build.
+	// EngineApplyReseed fires in Engine.apply after the migrated state has
+	// been handed over to the new plane's VMs and its backups seeded — a
+	// reseat failure while the tentative plane shares the old plane's
+	// tables, the last fallible step before the commit.
 	EngineApplyReseed = "engine.apply.reseed"
 	// EngineRun fires at every switch-VM execution, under both concurrency
 	// disciplines, before the VM touches any state. Armed as KindPanic it

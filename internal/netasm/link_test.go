@@ -5,6 +5,7 @@ import (
 
 	"snap/internal/netasm"
 	"snap/internal/pkt"
+	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/values"
 	"snap/internal/xfdd"
@@ -226,6 +227,26 @@ func TestSeedUnlinkedVariable(t *testing.T) {
 	snap := sw.Snapshot()
 	if len(snap.Vars()) != 2 || len(snap.Entries("elsewhere")) != 2 {
 		t.Fatalf("snapshot: %s", snap)
+	}
+}
+
+// TestAdoptTable: an adopted table replaces the variable's contents in
+// place — a TableRef taken before the adoption reads the adopted entries.
+func TestAdoptTable(t *testing.T) {
+	sw := netasm.NewSwitch(0, &netasm.Program{EntryOf: map[int]int{}}, map[string]bool{"s": true})
+	sw.StateSet("s", values.Tuple{values.Int(1)}, values.Int(10))
+	ref, ok := sw.TableRef("s")
+	if !ok {
+		t.Fatal("no table for an owned variable")
+	}
+	var tbl state.Table
+	tbl.SetTuple(values.Tuple{values.Int(2)}, values.Int(20))
+	sw.AdoptTable("s", &tbl)
+	if ref.Len() != 1 || !values.Eq(ref.GetTuple(values.Tuple{values.Int(2)}), values.Int(20)) {
+		t.Fatalf("TableRef does not see the adopted table: %v", ref.Entries())
+	}
+	if got := sw.StateGet("s", values.Tuple{values.Int(1)}); !values.Eq(got, state.Default) {
+		t.Fatalf("old entry survived the adoption: %v", got)
 	}
 }
 

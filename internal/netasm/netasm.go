@@ -21,6 +21,7 @@ package netasm
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -380,9 +381,9 @@ func (sw *Switch) table(v string) *state.Table {
 // TableRef returns a pointer to v's dense local table, false when the
 // switch has no table for it. The pointer stays valid as long as no
 // variable unknown to the switch is introduced afterwards (StateSet or
-// SeedVar of a new name grows the table slice): the state-replication
+// AdoptTable of a new name grows the table slice): the state-replication
 // engine mode binds replica apply targets through it, and such planes only
-// ever seed placed variables — which the link step guarantees are among
+// ever adopt placed variables — which the link step guarantees are among
 // the linked locals — so the slice never grows under them.
 func (sw *Switch) TableRef(v string) (*state.Table, bool) {
 	id, ok := sw.tableID(v)
@@ -402,15 +403,17 @@ func (sw *Switch) StateGet(v string, idx values.Tuple) values.Value {
 }
 
 // StateSet seeds v[idx] ← val in the local tables directly, bypassing the
-// write observer (tests, diagnostics; the engine seeds via SeedVar).
+// write observer (tests, diagnostics; the engine seats via AdoptTable).
 func (sw *Switch) StateSet(v string, idx values.Tuple, val values.Value) {
 	sw.table(v).SetTuple(idx, val)
 }
 
-// SeedVar replaces the local table of v with its contents in src (state
-// migration and failover re-seating).
-func (sw *Switch) SeedVar(src *state.Store, v string) {
-	sw.table(v).SeedFrom(src, v)
+// AdoptTable makes t's entries v's local table by taking over its maps,
+// without copying (state migration and failover re-seating hand each
+// table to its new owner). It writes into the existing slot, so TableRef
+// pointers stay valid. Whoever held t before must not write to it again.
+func (sw *Switch) AdoptTable(v string, t *state.Table) {
+	*sw.table(v) = *t
 }
 
 // EntryCount returns the number of entries in v's local table.
@@ -422,12 +425,14 @@ func (sw *Switch) EntryCount(v string) int {
 	return sw.tables[id].Len()
 }
 
-// StateInto dumps every non-empty local table into st (the dense →
-// canonical Store conversion; st accumulates across switches).
-func (sw *Switch) StateInto(st *state.Store) {
-	for i := range sw.tables {
-		if sw.tables[i].Len() > 0 {
-			sw.tables[i].AddToStore(st, sw.tableName(i))
+// Tables yields each non-empty local table with its variable name, by
+// reference: callers read them, or hand them over whole (AdoptTable).
+func (sw *Switch) Tables() iter.Seq2[string, *state.Table] {
+	return func(yield func(string, *state.Table) bool) {
+		for i := range sw.tables {
+			if sw.tables[i].Len() > 0 && !yield(sw.tableName(i), &sw.tables[i]) {
+				return
+			}
 		}
 	}
 }
@@ -435,7 +440,9 @@ func (sw *Switch) StateInto(st *state.Store) {
 // Snapshot returns the switch's state as a canonical Store copy.
 func (sw *Switch) Snapshot() *state.Store {
 	st := state.NewStore()
-	sw.StateInto(st)
+	for v, t := range sw.Tables() {
+		t.AddToStore(st, v)
+	}
 	return st
 }
 

@@ -17,8 +17,8 @@
 //
 // Tables convert losslessly to and from Store: each entry retains the raw
 // (uncanonicalized) index tuple it was first written with, exactly like
-// Store entries do, so dumps, replication reseeding and shard.Merge see
-// the same bindings whichever representation the runtime used.
+// Store entries do, so dumps, state rewrites and shard.Merge see the same
+// bindings whichever representation the runtime used.
 package state
 
 import (
@@ -212,7 +212,7 @@ func (t *Table) Entries() []Entry {
 }
 
 // AddToStore dumps the table into st under variable name — the lossless
-// dense→canonical converter (snapshots, migration, replication seeds).
+// dense→canonical converter (snapshots, the state-rewrite adapter).
 func (t *Table) AddToStore(st *Store, name string) {
 	for _, e := range t.m {
 		st.Set(name, e.Idx, e.Val)
@@ -227,6 +227,34 @@ func (t *Table) AddToStore(st *Store, name string) {
 func (t *Table) CopyFrom(src *Table) {
 	t.m = maps.Clone(src.m)
 	t.wide = maps.Clone(src.wide)
+}
+
+// Union returns a fresh table holding a's bindings overwritten by b's,
+// keeping a's retained index tuple where both hold a key: the tables'
+// Store union, a then b. A nil a reads as empty; neither input changes.
+func Union(a, b *Table) *Table {
+	u := &Table{}
+	if a != nil {
+		u.CopyFrom(a)
+	}
+	u.m = overlay(u.m, b.m)
+	u.wide = overlay(u.wide, b.wide)
+	return u
+}
+
+// overlay writes src's entries into dst with Store.Set's retention policy,
+// allocating dst when it is nil and src is not empty.
+func overlay[K comparable](dst, src map[K]Entry) map[K]Entry {
+	if dst == nil && len(src) > 0 {
+		dst = make(map[K]Entry, len(src))
+	}
+	for k, e := range src {
+		if old, ok := dst[k]; ok {
+			e.Idx = old.Idx
+		}
+		dst[k] = e
+	}
+	return dst
 }
 
 // SeedFrom loads variable name's entries from a canonical store — the

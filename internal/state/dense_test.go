@@ -134,3 +134,40 @@ func TestTableEntriesSorted(t *testing.T) {
 		}
 	}
 }
+
+// Union must equal the Store union of its inputs in order — later values
+// win, first raw index tuples stay — and leave both inputs untouched.
+func TestTableUnion(t *testing.T) {
+	wide := values.Tuple{values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5)}
+	var a, b Table
+	a.SetTuple(values.Tuple{values.Bool(true)}, values.Int(1))
+	a.SetTuple(values.Tuple{values.Int(5)}, values.Int(50))
+	b.SetTuple(values.Tuple{values.Int(1)}, values.Int(2))
+	b.SetTuple(values.Tuple{values.Int(7)}, values.Int(70))
+	b.SetTuple(wide, values.String("w"))
+
+	want := NewStore()
+	a.AddToStore(want, "v")
+	b.AddToStore(want, "v")
+	u := Union(&a, &b)
+	got := NewStore()
+	u.AddToStore(got, "v")
+	if !got.Equal(want) {
+		t.Fatalf("union diverges from the store union:\n%s\nvs\n%s", got, want)
+	}
+	if es := got.Entries("v"); es[0].Idx[0] != values.Bool(true) {
+		t.Fatalf("union lost the first raw index: %v", es[0].Idx)
+	}
+	if a.Len() != 2 || b.Len() != 3 || !values.Eq(a.GetTuple(values.Tuple{values.Int(1)}), values.Int(1)) {
+		t.Fatal("union modified an input")
+	}
+
+	c := Union(nil, &b)
+	if !c.Equal(&b) {
+		t.Fatal("union with nil differs from its input")
+	}
+	c.SetTuple(values.Tuple{values.Int(7)}, values.Int(0))
+	if !values.Eq(b.GetTuple(values.Tuple{values.Int(7)}), values.Int(70)) {
+		t.Fatal("union with nil shares its input's maps")
+	}
+}
