@@ -230,7 +230,7 @@ func (tr *Translator) unionCtx(d1, d2 *Diagram, ctx *Context) (*Diagram, error) 
 			a, b = b, a
 		}
 		key = pairKey{a: a, b: b, ctx: ctx.id}
-		if r, ok := tr.st.unionCache[key]; ok {
+		if r, ok := tr.st.unionCache.get(key); ok {
 			return r, nil
 		}
 	}
@@ -239,7 +239,7 @@ func (tr *Translator) unionCtx(d1, d2 *Diagram, ctx *Context) (*Diagram, error) 
 		return nil, err
 	}
 	if cacheable {
-		tr.st.unionCache[key] = r
+		tr.st.unionCache.put(key, r)
 	}
 	return r, nil
 }
@@ -294,7 +294,7 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 // Memoized per node (negation is context-free).
 func (tr *Translator) negate(d *Diagram) (*Diagram, error) {
 	if d.id != 0 {
-		if r, ok := tr.st.negCache[d.id]; ok {
+		if r, ok := tr.st.negCache.get(d.id); ok {
 			return r, nil
 		}
 	}
@@ -303,7 +303,7 @@ func (tr *Translator) negate(d *Diagram) (*Diagram, error) {
 		return nil, err
 	}
 	if d.id != 0 {
-		tr.st.negCache[d.id] = r
+		tr.st.negCache.put(d.id, r)
 	}
 	return r, nil
 }
@@ -343,13 +343,13 @@ func (tr *Translator) restrictT(d *Diagram, t Test, tid int32, outcome bool) *Di
 	cacheable := d.id != 0 && tid != 0
 	if cacheable {
 		key = restrictKey{node: d.id, test: tid, outcome: outcome}
-		if r, ok := tr.st.restrictCache[key]; ok {
+		if r, ok := tr.st.restrictCache.get(key); ok {
 			return r
 		}
 	}
 	r := tr.restrictSteps(d, t, tid, outcome)
 	if cacheable {
-		tr.st.restrictCache[key] = r
+		tr.st.restrictCache.put(key, r)
 	}
 	return r
 }
@@ -407,7 +407,7 @@ func (tr *Translator) seqCompose(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 	cacheable := d1.id != 0 && d2.id != 0 && ctx.id != 0
 	if cacheable {
 		key = pairKey{a: d1.id, b: d2.id, ctx: ctx.id}
-		if r, ok := tr.st.seqCache[key]; ok {
+		if r, ok := tr.st.seqCache.get(key); ok {
 			return r, nil
 		}
 	}
@@ -416,7 +416,7 @@ func (tr *Translator) seqCompose(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 		return nil, err
 	}
 	if cacheable {
-		tr.st.seqCache[key] = r
+		tr.st.seqCache.put(key, r)
 	}
 	return r, nil
 }
@@ -469,7 +469,7 @@ func (tr *Translator) seqAS(as ActionSeq, sid uint32, d *Diagram, ctx *Context) 
 	cacheable := sid != 0 && d.id != 0 && ctx.id != 0
 	if cacheable {
 		key = seqASKey{seq: sid, node: d.id, ctx: ctx.id}
-		if r, ok := tr.st.seqASCache[key]; ok {
+		if r, ok := tr.st.seqASCache.get(key); ok {
 			return r, nil
 		}
 	}
@@ -478,7 +478,7 @@ func (tr *Translator) seqAS(as ActionSeq, sid uint32, d *Diagram, ctx *Context) 
 		return nil, err
 	}
 	if cacheable {
-		tr.st.seqASCache[key] = r
+		tr.st.seqASCache.put(key, r)
 	}
 	return r, nil
 }
@@ -539,11 +539,11 @@ func (tr *Translator) seqASSteps(as ActionSeq, sid uint32, d *Diagram, ctx *Cont
 func (tr *Translator) ctxWithSeq(ctx *Context, sid uint32, as ActionSeq) *Context {
 	if ctx.id != 0 && sid != 0 {
 		k := ctxSeqKey{ctx: ctx.id, seq: sid}
-		if n, ok := tr.st.assignCache[k]; ok {
+		if n, ok := tr.st.assignCache.get(k); ok {
 			return n
 		}
 		n := ctx.WithAssignments(tr.st.seqList[sid-1].fmap)
-		tr.st.assignCache[k] = n
+		tr.st.assignCache.put(k, n)
 		return n
 	}
 	return ctx.WithAssignments(fieldMap(as))

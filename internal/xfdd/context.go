@@ -12,105 +12,292 @@ import (
 // This is the "context" argument threaded through ⊕ and the sequential
 // composition algorithm in Figure 8 and Appendix E.
 //
-// Contexts are persistent: With* methods return extended copies.
+// A context is immutable. With and WithAssignments build a new context that
+// shares everything it does not change with the one it extends:
+//
+//   - field-value facts form one newest-first list whose nodes also link to
+//     the previous positive and negative fact on their own field, so each
+//     field's facts are a cons list; an extension prepends a node;
+//   - equality classes (union-find parents, the exact values known for
+//     classes and the class pairs known unequal) form one value that field-
+//     field tests, value-pinning tests and assignments replace with a copy
+//     (copy-on-write); every other extension shares it;
+//   - state-test outcomes form a newest-first list.
+//
+// An extension therefore allocates a fixed, small number of objects, however
+// deep the path and however many fields the program tests.
 type Context struct {
-	// vals holds exact known field values (from passed exact-value tests or
-	// field assignments of a preceding action sequence).
-	vals map[pkt.Field]values.Value
-	// pos/neg hold passed and failed field-value tests (including prefix
-	// tests, which constrain without pinning an exact value).
-	pos map[pkt.Field][]values.Value
-	neg map[pkt.Field][]values.Value
-	// parent implements a union-find over fields known equal; neq records
-	// field pairs known unequal.
-	parent map[pkt.Field]pkt.Field
-	neq    map[[2]pkt.Field]bool
-	// st maps resolved canonical state tests to their recorded outcome.
-	st map[string]bool
+	fv *fvFact // newest field-value fact; nil when the path has none
+	// fact holds the field-value fact this context added, if it added
+	// one (then fv points at it): one allocation per extension.
+	fact fvFact
+
+	eq *classes // equality classes, shared until an extension changes them
+	st *stFact  // newest state-test outcome; nil when the path has none
 
 	// store/id tie the context into a translator's hash-consing store:
 	// contexts with a store carry a unique id used in the apply-cache keys,
-	// and With extensions are memoized so identical extension chains from
-	// the shared root yield pointer-identical contexts (canonical context
-	// identity). Contexts built via the public NewContext have no store and
-	// id 0, which the caches treat as "never cacheable".
-	store    *Store
-	id       uint64
-	withMemo map[withKey]*Context
+	// and With extensions are memoized in the store so identical extension
+	// chains from the shared root yield pointer-identical contexts
+	// (canonical context identity). Contexts built via the public NewContext
+	// have no store and id 0, which the caches treat as "never cacheable".
+	store *Store
+	id    uint64
 }
 
+// withKey identifies one extension of one store-bound context.
 type withKey struct {
+	ctx     uint64
 	test    int32
 	outcome bool
 }
 
-// NewContext returns an empty context.
-func NewContext() *Context {
-	return &Context{
-		vals:   map[pkt.Field]values.Value{},
-		pos:    map[pkt.Field][]values.Value{},
-		neg:    map[pkt.Field][]values.Value{},
-		parent: map[pkt.Field]pkt.Field{},
-		neq:    map[[2]pkt.Field]bool{},
-		st:     map[string]bool{},
-	}
+type factKind uint8
+
+const (
+	posFact   factKind = iota // the field passed a test against val
+	negFact                   // the field failed a test against val
+	resetFact                 // an assignment overwrote the field: older facts on it no longer hold
+)
+
+// fvFact is one field-value fact of a path.
+type fvFact struct {
+	field pkt.Field
+	kind  factKind
+	val   values.Value
+	// prevPos/prevNeg are the newest older positive and negative facts on
+	// the same field recorded since its last reset.
+	prevPos, prevNeg *fvFact
+	// run is the newest older fact on a field other than field: following
+	// run skips a whole run of facts on one field.
+	run *fvFact
+	// fields has bit f set when this fact or an older one is on field f.
+	fields uint32
 }
 
-// newStoreContext builds the store's root context (id 1-based).
-func newStoreContext(st *Store) *Context {
-	c := NewContext()
-	c.store = st
-	c.id = st.nextCtxID()
-	return c
+// The field mask of fvFact must hold every field.
+const _ = uint32(1 << (pkt.NumFields - 1))
+
+// newest returns the newest positive or negative fact (kind) of the field
+// whose newest fact is h.
+func (h *fvFact) newest(kind factKind) *fvFact {
+	switch {
+	case h == nil || h.kind == kind:
+		return h
+	case kind == posFact:
+		return h.prevPos
+	}
+	return h.prevNeg
 }
 
-func (c *Context) clone() *Context {
-	n := NewContext()
-	if c.store != nil {
-		n.store = c.store
-		n.id = c.store.nextCtxID()
+// fieldHead returns the newest fact on field f, or nil.
+func (c *Context) fieldHead(f pkt.Field) *fvFact {
+	n := c.fv
+	if n == nil || n.fields&(1<<f) == 0 {
+		return nil
 	}
-	for k, v := range c.vals {
-		n.vals[k] = v
-	}
-	for k, v := range c.pos {
-		n.pos[k] = append([]values.Value(nil), v...)
-	}
-	for k, v := range c.neg {
-		n.neg[k] = append([]values.Value(nil), v...)
-	}
-	for k, v := range c.parent {
-		n.parent[k] = v
-	}
-	for k, v := range c.neq {
-		n.neq[k] = v
-	}
-	for k, v := range c.st {
-		n.st[k] = v
+	for n.field != f {
+		n = n.run
 	}
 	return n
 }
 
-func (c *Context) root(f pkt.Field) pkt.Field {
-	for {
-		p, ok := c.parent[f]
-		if !ok || p == f {
-			return f
+// linkFact makes n, a fact not yet in any list, the newest fact of c's
+// list and returns it.
+func (c *Context) linkFact(n *fvFact) *fvFact {
+	f, kind := n.field, n.kind
+	n.fields = 1 << f
+	if top := c.fv; top != nil {
+		n.fields |= top.fields
+		if top.field != f {
+			n.run = top
+		} else {
+			n.run = top.run
 		}
-		f = p
 	}
+	if kind != resetFact {
+		h := c.fieldHead(f)
+		n.prevPos, n.prevNeg = h.newest(posFact), h.newest(negFact)
+	}
+	return n
+}
+
+// classes records which fields are known equal, the exact values known for
+// their classes, and which classes are known unequal. A classes value is
+// never modified once a context refers to it.
+type classes struct {
+	// parent holds union-find links; FieldNone marks a class root.
+	parent [pkt.NumFields]pkt.Field
+	// vals holds the exact values known for class roots.
+	vals []rootVal
+	// neq holds class-root pairs known unequal, each ordered low to high.
+	neq [][2]pkt.Field
+}
+
+type rootVal struct {
+	root pkt.Field
+	val  values.Value
+}
+
+// noClasses is the equality state of an empty context: every field its own
+// class, nothing known.
+var noClasses = &classes{}
+
+// clone returns a private copy of k that may be modified.
+func (k *classes) clone() *classes {
+	n := *k
+	n.vals = append([]rootVal(nil), k.vals...)
+	n.neq = append([][2]pkt.Field(nil), k.neq...)
+	return &n
+}
+
+func (k *classes) root(f pkt.Field) pkt.Field {
+	for k.parent[f] != pkt.FieldNone {
+		f = k.parent[f]
+	}
+	return f
+}
+
+func (k *classes) value(r pkt.Field) (values.Value, bool) {
+	for _, rv := range k.vals {
+		if rv.root == r {
+			return rv.val, true
+		}
+	}
+	return values.None, false
+}
+
+func (k *classes) unequal(r1, r2 pkt.Field) bool {
+	return containsPair(k.neq, fieldPair(r1, r2))
+}
+
+// setValue records v as the value of class root r (k must be private).
+func (k *classes) setValue(r pkt.Field, v values.Value) {
+	for i := range k.vals {
+		if k.vals[i].root == r {
+			k.vals[i].val = v
+			return
+		}
+	}
+	k.vals = append(k.vals, rootVal{root: r, val: v})
+}
+
+// dropValue forgets the value of class root r (k must be private).
+func (k *classes) dropValue(r pkt.Field) {
+	for i := range k.vals {
+		if k.vals[i].root == r {
+			k.vals = append(k.vals[:i], k.vals[i+1:]...)
+			return
+		}
+	}
+}
+
+// rekey moves what k knows about class root from onto class root to, or
+// forgets it when to is FieldNone (k must be private).
+func (k *classes) rekey(from, to pkt.Field) {
+	if v, ok := k.value(from); ok {
+		k.dropValue(from)
+		if to != pkt.FieldNone {
+			k.setValue(to, v)
+		}
+	}
+	kept := k.neq[:0]
+	for _, p := range k.neq {
+		if p[0] == from || p[1] == from {
+			if to == pkt.FieldNone {
+				continue
+			}
+			for i := range p {
+				if p[i] == from {
+					p[i] = to
+				}
+			}
+			p = fieldPair(p[0], p[1])
+		}
+		if !containsPair(kept, p) {
+			kept = append(kept, p)
+		}
+	}
+	k.neq = kept
+}
+
+func containsPair(ps [][2]pkt.Field, p [2]pkt.Field) bool {
+	for _, q := range ps {
+		if q == p {
+			return true
+		}
+	}
+	return false
+}
+
+// union merges the class of root r2 into the class of root r1 (k must be
+// private). A value known for r2's class wins over one known for r1's.
+func (k *classes) union(r1, r2 pkt.Field) {
+	k.parent[r2] = r1
+	k.rekey(r2, r1)
+}
+
+// detach makes f a class of its own (k must be private). The rest of f's
+// class stays together: its root is unchanged, or, when f was the root, is
+// the lowest remaining member, which inherits the class's value and
+// inequalities.
+func (k *classes) detach(f pkt.Field) {
+	r := k.root(f)
+	var buf [pkt.NumFields]pkt.Field
+	members := buf[:0]
+	for g := pkt.Field(1); g < pkt.NumFields; g++ {
+		if g != f && k.root(g) == r {
+			members = append(members, g)
+		}
+	}
+	newRoot := r
+	if r == f {
+		newRoot = pkt.FieldNone
+		if len(members) > 0 {
+			newRoot = members[0] // lowest: members are in field order
+		}
+		k.rekey(f, newRoot)
+	}
+	for _, g := range members {
+		k.parent[g] = newRoot
+	}
+	if newRoot != pkt.FieldNone {
+		k.parent[newRoot] = pkt.FieldNone
+	}
+	k.parent[f] = pkt.FieldNone
+}
+
+// stFact is one recorded state-test outcome, keyed by the test resolved
+// under the context it was recorded in.
+type stFact struct {
+	key     string
+	outcome bool
+	next    *stFact
+}
+
+// NewContext returns an empty context.
+func NewContext() *Context {
+	return &Context{eq: noClasses}
+}
+
+// newStoreContext builds the store's root context (id 1-based).
+func newStoreContext(st *Store) *Context {
+	return &Context{eq: noClasses, store: st, id: st.nextCtxID()}
+}
+
+// derive returns a new context sharing everything with c.
+func (c *Context) derive() *Context {
+	n := &Context{fv: c.fv, eq: c.eq, st: c.st, store: c.store}
+	if c.store != nil {
+		n.id = c.store.nextCtxID()
+	}
+	return n
 }
 
 // KnownValue returns the exact value of f if the context pins one,
 // consulting field-equality classes.
 func (c *Context) KnownValue(f pkt.Field) (values.Value, bool) {
-	r := c.root(f)
-	for g, v := range c.vals {
-		if c.root(g) == r {
-			return v, true
-		}
-	}
-	return values.None, false
+	return c.eq.value(c.eq.root(f))
 }
 
 // With returns c extended with the outcome of a test. Recording a test the
@@ -119,51 +306,48 @@ func (c *Context) KnownValue(f pkt.Field) (values.Value, bool) {
 // context returns the same object, keeping context identity canonical for
 // the composition caches.
 func (c *Context) With(t Test, outcome bool) *Context {
-	var mk withKey
-	if c.store != nil {
-		mk = withKey{test: c.store.TestID(t), outcome: outcome}
-		if n, ok := c.withMemo[mk]; ok {
-			return n
-		}
+	if c.store == nil {
+		return c.extend(t, outcome)
+	}
+	k := withKey{ctx: c.id, test: c.store.TestID(t), outcome: outcome}
+	if n, ok := c.store.withMemo.get(k); ok {
+		return n
 	}
 	n := c.extend(t, outcome)
-	if c.store != nil {
-		if c.withMemo == nil {
-			c.withMemo = map[withKey]*Context{}
-		}
-		c.withMemo[mk] = n
-	}
+	c.store.withMemo.put(k, n)
 	return n
 }
 
 func (c *Context) extend(t Test, outcome bool) *Context {
-	n := c.clone()
+	n := c.derive()
 	switch x := t.(type) {
 	case FVTest:
+		kind := negFact
 		if outcome {
-			if x.Val.Kind != values.KindPrefix {
-				n.vals[n.root(x.Field)] = x.Val
+			kind = posFact
+			r := c.eq.root(x.Field)
+			if old, ok := c.eq.value(r); x.Val.Kind != values.KindPrefix && (!ok || old != x.Val) {
+				eq := c.eq.clone()
+				eq.setValue(r, x.Val)
+				n.eq = eq
 			}
-			n.pos[x.Field] = append(n.pos[x.Field], x.Val)
-		} else {
-			n.neg[x.Field] = append(n.neg[x.Field], x.Val)
 		}
+		n.fact = fvFact{field: x.Field, kind: kind, val: x.Val}
+		n.fv = c.linkFact(&n.fact)
 	case FFTest:
-		r1, r2 := n.root(x.F1), n.root(x.F2)
-		if outcome {
-			if r1 != r2 {
-				// Union; propagate a known value across the merged class.
-				n.parent[r2] = r1
-				if v, ok := n.vals[r2]; ok {
-					n.vals[r1] = v
-					delete(n.vals, r2)
-				}
-			}
-		} else {
-			n.neq[fieldPair(r1, r2)] = true
+		r1, r2 := c.eq.root(x.F1), c.eq.root(x.F2)
+		switch {
+		case outcome && r1 != r2:
+			eq := c.eq.clone()
+			eq.union(r1, r2)
+			n.eq = eq
+		case !outcome && !c.eq.unequal(r1, r2):
+			eq := c.eq.clone()
+			eq.neq = append(eq.neq, fieldPair(r1, r2))
+			n.eq = eq
 		}
 	case STest:
-		n.st[n.resolveSTKey(x)] = outcome
+		n.st = &stFact{key: c.resolveSTKey(x), outcome: outcome, next: c.st}
 	}
 	return n
 }
@@ -176,51 +360,20 @@ func (c *Context) WithAssignments(fmap map[pkt.Field]values.Value) *Context {
 	if len(fmap) == 0 {
 		return c
 	}
-	n := c.clone()
-	for f, v := range fmap {
-		// Detach f: make it its own singleton class.
-		n.detach(f)
-		n.vals[f] = v
-		n.pos[f] = nil
-		n.neg[f] = nil
+	n := c.derive()
+	eq := c.eq.clone()
+	// Field order, so the result does not depend on map iteration.
+	for f := pkt.Field(1); f < pkt.NumFields; f++ {
+		v, ok := fmap[f]
+		if !ok {
+			continue
+		}
+		eq.detach(f)
+		eq.setValue(f, v)
+		n.fv = n.linkFact(&fvFact{field: f, kind: resetFact})
 	}
+	n.eq = eq
 	return n
-}
-
-// detach removes f from its union-find class, re-rooting the remainder.
-func (c *Context) detach(f pkt.Field) {
-	r := c.root(f)
-	// Collect members of the class other than f.
-	var members []pkt.Field
-	for g := range c.parent {
-		if g != f && c.root(g) == r {
-			members = append(members, g)
-		}
-	}
-	if r != f {
-		// f was not the root: just unlink it.
-		delete(c.parent, f)
-		return
-	}
-	// f was the root: pick a new root among members and repoint.
-	delete(c.parent, f)
-	if len(members) == 0 {
-		return
-	}
-	newRoot := members[0]
-	for _, g := range members {
-		if g < newRoot {
-			newRoot = g
-		}
-	}
-	for _, g := range members {
-		c.parent[g] = newRoot
-	}
-	delete(c.parent, newRoot)
-	if v, ok := c.vals[f]; ok {
-		c.vals[newRoot] = v
-		delete(c.vals, f)
-	}
 }
 
 func fieldPair(a, b pkt.Field) [2]pkt.Field {
@@ -238,39 +391,48 @@ func (c *Context) Infer(t Test) (outcome, known bool) {
 		if v, ok := c.KnownValue(x.Field); ok {
 			return x.Val.Matches(v), true
 		}
-		for _, w := range c.pos[x.Field] {
-			if x.Val.Subsumes(w) {
-				return true, true
-			}
-			if values.Disjoint(x.Val, w) {
-				return false, true
+		h := c.fieldHead(x.Field)
+		// Positive facts decide first. The list runs newest first; the
+		// oldest deciding fact wins, as in a scan in recording order.
+		decided := false
+		for w := h.newest(posFact); w != nil; w = w.prevPos {
+			if x.Val.Subsumes(w.val) {
+				decided, outcome = true, true
+			} else if values.Disjoint(x.Val, w.val) {
+				decided, outcome = true, false
 			}
 		}
-		for _, w := range c.neg[x.Field] {
-			if w.Subsumes(x.Val) {
+		if decided {
+			return outcome, true
+		}
+		for w := h.newest(negFact); w != nil; w = w.prevNeg {
+			if w.val.Subsumes(x.Val) {
 				return false, true
 			}
 		}
 		return false, false
 
 	case FFTest:
-		r1, r2 := c.root(x.F1), c.root(x.F2)
+		r1, r2 := c.eq.root(x.F1), c.eq.root(x.F2)
 		if r1 == r2 {
 			return true, true
 		}
-		v1, ok1 := c.KnownValue(x.F1)
-		v2, ok2 := c.KnownValue(x.F2)
+		v1, ok1 := c.eq.value(r1)
+		v2, ok2 := c.eq.value(r2)
 		if ok1 && ok2 {
 			return values.Eq(v1, v2), true
 		}
-		if c.neq[fieldPair(r1, r2)] {
+		if c.eq.unequal(r1, r2) {
 			return false, true
 		}
 		return false, false
 
 	case STest:
-		if res, ok := c.st[c.resolveSTKey(x)]; ok {
-			return res, true
+		key := c.resolveSTKey(x)
+		for s := c.st; s != nil; s = s.next {
+			if s.key == key {
+				return s.outcome, true
+			}
 		}
 		return false, false
 	}
@@ -282,10 +444,11 @@ func (c *Context) Infer(t Test) (outcome, known bool) {
 // their equality-class root (the value() helper of Appendix E).
 func (c *Context) ResolveExpr(e syntax.Expr) syntax.Expr {
 	if fr, ok := e.(syntax.FieldRef); ok {
-		if v, ok := c.KnownValue(fr.Field); ok {
+		r := c.eq.root(fr.Field)
+		if v, ok := c.eq.value(r); ok {
 			return syntax.Const{Val: v}
 		}
-		return syntax.FieldRef{Field: c.root(fr.Field)}
+		return syntax.FieldRef{Field: r}
 	}
 	return e
 }

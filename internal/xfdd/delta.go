@@ -24,8 +24,11 @@ type memoEntry struct {
 // TranslateMemo compiles p like ToXFDD + CheckRaces, but consults and
 // feeds the fragment memo at every composition node. On a translator that
 // compiled a prior revision of p, only edited fragments and the spine
-// above them are recompiled.
+// above them are recompiled. Each call starts a new generation of the
+// store's apply caches and contexts, so a translator that follows a long
+// chain of edits retains only what the last two translations used.
 func (tr *Translator) TranslateMemo(p syntax.Policy) (*Diagram, error) {
+	tr.st.newGeneration()
 	d, err := tr.toXFDDMemo(p)
 	if err != nil {
 		return nil, err

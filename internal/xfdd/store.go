@@ -49,18 +49,21 @@ type Store struct {
 
 	// Apply caches: composition subproblems solved once per
 	// (operands, context) triple. See compose.go for the call sites.
-	unionCache    map[pairKey]*Diagram
-	seqCache      map[pairKey]*Diagram
-	seqASCache    map[seqASKey]*Diagram
-	negCache      map[uint64]*Diagram
-	restrictCache map[restrictKey]*Diagram
+	unionCache    genMap[pairKey, *Diagram]
+	seqCache      genMap[pairKey, *Diagram]
+	seqASCache    genMap[seqASKey, *Diagram]
+	negCache      genMap[uint64, *Diagram]
+	restrictCache genMap[restrictKey, *Diagram]
 
 	// Context identity: the shared empty root plus a counter handing out
-	// ids to extensions (see context.go). assignCache memoizes
-	// WithAssignments per (context, sequence).
+	// ids to extensions (see context.go). withMemo memoizes Context.With
+	// per (context, test, outcome) and assignCache memoizes
+	// WithAssignments per (context, sequence); between them they hold
+	// every context of the store except the root.
 	rootCtx     *Context
 	ctxCount    uint64
-	assignCache map[ctxSeqKey]*Context
+	withMemo    genMap[withKey, *Context]
+	assignCache genMap[ctxSeqKey, *Context]
 
 	// scratch is the reusable buffer for encoded id-list keys.
 	scratch []byte
@@ -128,13 +131,52 @@ func NewStore() *Store {
 		seqs:          map[string]uint32{},
 		leaves:        map[string]*Diagram{},
 		branches:      map[branchKey]*Diagram{},
-		unionCache:    map[pairKey]*Diagram{},
-		seqCache:      map[pairKey]*Diagram{},
-		seqASCache:    map[seqASKey]*Diagram{},
-		negCache:      map[uint64]*Diagram{},
-		restrictCache: map[restrictKey]*Diagram{},
-		assignCache:   map[ctxSeqKey]*Context{},
+		unionCache:    newGenMap[pairKey, *Diagram](),
+		seqCache:      newGenMap[pairKey, *Diagram](),
+		seqASCache:    newGenMap[seqASKey, *Diagram](),
+		negCache:      newGenMap[uint64, *Diagram](),
+		restrictCache: newGenMap[restrictKey, *Diagram](),
+		withMemo:      newGenMap[withKey, *Context](),
+		assignCache:   newGenMap[ctxSeqKey, *Context](),
 	}
+}
+
+// genMap is a memo table with two generations: the entries of the current
+// translation and those of the previous one. A lookup that hits the
+// previous generation copies the entry into the current one, so whatever a
+// translation uses survives into the next; starting a generation drops the
+// entries the previous translation did not use.
+type genMap[K comparable, V any] struct{ cur, prev map[K]V }
+
+func newGenMap[K comparable, V any]() genMap[K, V] { return genMap[K, V]{cur: map[K]V{}} }
+
+func (m *genMap[K, V]) get(k K) (V, bool) {
+	if v, ok := m.cur[k]; ok {
+		return v, true
+	}
+	v, ok := m.prev[k]
+	if ok {
+		m.cur[k] = v
+	}
+	return v, ok
+}
+
+func (m *genMap[K, V]) put(k K, v V) { m.cur[k] = v }
+
+func (m *genMap[K, V]) rotate() { m.prev, m.cur = m.cur, map[K]V{} }
+
+// newGeneration starts a translation's generation of the apply caches and
+// the context memo: entries the previous translation used stay available,
+// older ones are dropped. The node table, the test, expression and
+// sequence interning and the root context are kept whole.
+func (st *Store) newGeneration() {
+	st.unionCache.rotate()
+	st.seqCache.rotate()
+	st.seqASCache.rotate()
+	st.negCache.rotate()
+	st.restrictCache.rotate()
+	st.withMemo.rotate()
+	st.assignCache.rotate()
 }
 
 // canonValue folds Eq-coercible kinds together (False ≡ 0, True ≡ 1) so
